@@ -44,7 +44,10 @@ where
     P: TracedProgram + Sync,
     P::Input: Send + Sync,
 {
-    let config = OwlConfig::builder().runs(runs).engines_all().build();
+    let config = OwlConfig::builder()
+        .runs(runs)
+        .compare_engines(true)
+        .build();
     let detection = detect(program, inputs, &config)?;
     let comparison = detection
         .engine_comparison

@@ -26,12 +26,6 @@ use owl_stats::mi::class_mi_bits;
 use owl_stats::{EngineOutcome, Histogram, WeightedSamples};
 use std::collections::BTreeSet;
 
-/// Deprecated name of [`Engine`], kept for one release so existing
-/// callers (`AnalysisConfig { method: TestMethod::Ks, .. }`) compile
-/// unchanged. `TestMethod::Welch` resolves to [`Engine::Tvla`]. Use
-/// [`Engine`] in new code.
-pub type TestMethod = Engine;
-
 /// Parameters of the analysis phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisConfig {
@@ -48,45 +42,6 @@ impl Default for AnalysisConfig {
             alpha: 0.95,
             method: Engine::Ks,
         }
-    }
-}
-
-impl AnalysisConfig {
-    /// A fluent builder over the defaults:
-    /// `AnalysisConfig::builder().alpha(0.99).build()`.
-    pub fn builder() -> AnalysisConfigBuilder {
-        AnalysisConfigBuilder::default()
-    }
-}
-
-/// Builder for [`AnalysisConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct AnalysisConfigBuilder {
-    config: AnalysisConfig,
-}
-
-impl AnalysisConfigBuilder {
-    /// Confidence level of the distribution tests.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// The analysis engine deciding per-feature input dependence.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.config.method = engine;
-        self
-    }
-
-    /// Deprecated spelling of [`AnalysisConfigBuilder::engine`], kept for
-    /// one release.
-    pub fn method(self, method: TestMethod) -> Self {
-        self.engine(method)
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> AnalysisConfig {
-        self.config
     }
 }
 
@@ -108,23 +63,22 @@ fn structural(kind: LeakKind, location: LeakLocation, detail: String) -> Leak {
     }
 }
 
-/// Runs the full leakage test of §VII-C once per engine and returns the
-/// per-engine reports in [`Engine::ALL`] order — the input of the
-/// cross-engine comparison mode. The evidence is shared; only the phase-3
-/// decision point differs between entries.
+/// Runs the full leakage test of §VII-C once per engine in `engines` and
+/// returns the per-engine reports in that order. The evidence is shared;
+/// only the phase-3 decision point differs between entries.
 pub fn engine_reports(
     fix: &Evidence,
     rnd: &Evidence,
-    config: &AnalysisConfig,
+    alpha: f64,
+    engines: &[Engine],
 ) -> Vec<(Engine, LeakReport)> {
-    Engine::ALL
+    engines
         .iter()
-        .map(|&engine| {
-            let cfg = AnalysisConfig {
-                method: engine,
-                ..*config
-            };
-            (engine, leakage_test(fix, rnd, &cfg))
+        .map(|&method| {
+            (
+                method,
+                leakage_test(fix, rnd, &AnalysisConfig { alpha, method }),
+            )
         })
         .collect()
 }

@@ -10,8 +10,9 @@
 //!   so a retried run is still a pure function of `(program, input, spec)`
 //!   and the bit-identical determinism contract holds for every
 //!   `parallelism` setting.
-//! * [`record_run_with_retry`] — the retrying recorder. Panics inside a
-//!   recording attempt are caught (`catch_unwind`) and converted into
+//! * [`RunAttempt`] — what [`Recorder::record`](crate::record::Recorder::record)
+//!   returns for one run under the policy. Panics inside a recording
+//!   attempt are caught (`catch_unwind`) and converted into
 //!   [`DetectError::WorkerPanic`], so a crashing program can never abort
 //!   the detection or poison the fan-out.
 //! * [`FaultRecord`] / [`FaultLog`] — runs that exhaust their retries are
@@ -20,14 +21,10 @@
 //!   appear in run order, never in completion order.
 
 use crate::error::{DetectError, RunContext};
-use crate::govern::RunGovernor;
-use crate::program::TracedProgram;
-use crate::record::{record_run_governed, RunSpec};
 use crate::trace::ProgramTrace;
 use owl_metrics::{PhaseFaultCounters, SimCounters};
 use serde::ser::Serialize;
 use serde::Value;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How a failure should be treated by the retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,70 +157,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
-    }
-}
-
-/// Records one run under the retry policy: attempt `k` uses
-/// `spec.with_attempt(k)`, failures are classified, and panics inside the
-/// program or recorder are caught and converted into
-/// [`DetectError::WorkerPanic`].
-///
-/// `spec` is the run's base identity; its `attempt` field is overwritten
-/// per attempt.
-pub fn record_run_with_retry<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    spec: &RunSpec,
-    policy: &RetryPolicy,
-) -> RunAttempt {
-    record_run_with_retry_governed(program, input, spec, policy, RunGovernor::unbounded())
-}
-
-/// [`record_run_with_retry`] under a [`RunGovernor`]: every attempt
-/// records through [`record_run_governed`], so the instruction budget caps
-/// each launch, cancellation is polled cooperatively, and per-run budgets
-/// are enforced. Governance failures are classified by the policy like any
-/// other fault (the default classifier makes them permanent — they are
-/// deterministic, so retrying cannot help).
-pub fn record_run_with_retry_governed<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    spec: &RunSpec,
-    policy: &RetryPolicy,
-    governor: RunGovernor<'_>,
-) -> RunAttempt {
-    let max_attempts = policy.max_attempts.max(1);
-    let mut panics = 0u32;
-    let mut attempt = 0u32;
-    loop {
-        let attempt_spec = spec.with_attempt(attempt);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            record_run_governed(program, input, &attempt_spec, governor)
-        }));
-        let error = match outcome {
-            Ok(Ok(recorded)) => {
-                return RunAttempt {
-                    result: Ok(recorded),
-                    attempts: attempt + 1,
-                    panics,
-                }
-            }
-            Ok(Err(e)) => e,
-            Err(payload) => {
-                panics += 1;
-                DetectError::WorkerPanic {
-                    message: panic_message(payload),
-                }
-            }
-        };
-        attempt += 1;
-        if attempt >= max_attempts || (policy.classify)(&error) == FaultClass::Permanent {
-            return RunAttempt {
-                result: Err(error),
-                attempts: attempt,
-                panics,
-            };
-        }
     }
 }
 

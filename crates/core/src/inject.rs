@@ -337,7 +337,7 @@ impl<P: TracedProgram> TracedProgram for FaultyProgram<P> {
 mod tests {
     use super::*;
     use crate::error::DetectError;
-    use crate::record::{record_run, record_run_metered};
+    use crate::record::record_run_metered;
     use owl_gpu::build::KernelBuilder;
     use owl_gpu::grid::LaunchConfig;
     use owl_gpu::isa::{MemWidth, SpecialReg};
@@ -390,8 +390,8 @@ mod tests {
     fn unmatched_runs_pass_through_unchanged() {
         let plan = FaultPlan::new().fail_run(1, 0, InjectedFault::Exec(ExecFaultKind::Memory));
         let faulty = FaultyProgram::new(Probe::new(), plan);
-        let clean = record_run(&Probe::new(), &0, &spec(0, 5, 0)).expect("clean run");
-        let wrapped = record_run(&faulty, &0, &spec(0, 5, 0)).expect("unmatched run");
+        let clean = record_run_metered(&Probe::new(), &0, &spec(0, 5, 0)).expect("clean run");
+        let wrapped = record_run_metered(&faulty, &0, &spec(0, 5, 0)).expect("unmatched run");
         assert_eq!(clean, wrapped);
     }
 
@@ -400,7 +400,7 @@ mod tests {
         for kind in ExecFaultKind::ALL {
             let plan = FaultPlan::new().fail_run(1, 2, InjectedFault::Exec(kind));
             let faulty = FaultyProgram::new(Probe::new(), plan);
-            let err = record_run(&faulty, &0, &spec(1, 2, 0)).expect_err("injected");
+            let err = record_run_metered(&faulty, &0, &spec(1, 2, 0)).expect_err("injected");
             assert_eq!(
                 err,
                 DetectError::Host(HostError::Launch(kind.synthesize())),
@@ -415,10 +415,11 @@ mod tests {
         let plan =
             FaultPlan::new().fail_attempts(1, 2, 2, InjectedFault::Exec(ExecFaultKind::Memory));
         let faulty = FaultyProgram::new(Probe::new(), plan);
-        assert!(record_run(&faulty, &0, &spec(1, 2, 0)).is_err());
-        assert!(record_run(&faulty, &0, &spec(1, 2, 1)).is_err());
-        let recovered = record_run(&faulty, &0, &spec(1, 2, 2)).expect("attempt 2 succeeds");
-        let clean = record_run(&Probe::new(), &0, &spec(1, 2, 2)).expect("clean");
+        assert!(record_run_metered(&faulty, &0, &spec(1, 2, 0)).is_err());
+        assert!(record_run_metered(&faulty, &0, &spec(1, 2, 1)).is_err());
+        let recovered =
+            record_run_metered(&faulty, &0, &spec(1, 2, 2)).expect("attempt 2 succeeds");
+        let clean = record_run_metered(&Probe::new(), &0, &spec(1, 2, 2)).expect("clean");
         assert_eq!(recovered, clean);
     }
 
@@ -446,12 +447,12 @@ mod tests {
             )
             .fail_run(1, 1, InjectedFault::DeadlineExpired);
         let faulty = FaultyProgram::new(Probe::new(), plan);
-        let err = record_run(&faulty, &0, &spec(1, 0, 0)).expect_err("budget fault");
+        let err = record_run_metered(&faulty, &0, &spec(1, 0, 0)).expect_err("budget fault");
         assert_eq!(err.kind(), "budget_exhausted");
         assert!(err.to_string().contains("mem_events"), "{err}");
-        let err = record_run(&faulty, &0, &spec(1, 1, 0)).expect_err("deadline fault");
+        let err = record_run_metered(&faulty, &0, &spec(1, 1, 0)).expect_err("deadline fault");
         assert_eq!(err.kind(), "cancelled");
-        assert!(record_run(&faulty, &0, &spec(2, 0, 0)).is_ok());
+        assert!(record_run_metered(&faulty, &0, &spec(2, 0, 0)).is_ok());
     }
 
     #[test]
@@ -459,9 +460,9 @@ mod tests {
         let plan = FaultPlan::new().fail_stream(3, InjectedFault::InvalidFree);
         let faulty = FaultyProgram::new(Probe::new(), plan);
         for run in [0u64, 1, 7] {
-            let err = record_run(&faulty, &0, &spec(3, run, 0)).expect_err("injected");
+            let err = record_run_metered(&faulty, &0, &spec(3, run, 0)).expect_err("injected");
             assert_eq!(err.kind(), "host_invalid_free");
         }
-        assert!(record_run(&faulty, &0, &spec(2, 0, 0)).is_ok());
+        assert!(record_run_metered(&faulty, &0, &spec(2, 0, 0)).is_ok());
     }
 }

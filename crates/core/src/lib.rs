@@ -94,9 +94,7 @@ pub mod summary;
 pub mod trace;
 pub mod tracer;
 
-pub use analysis::{
-    engine_reports, leakage_test, AnalysisConfig, AnalysisConfigBuilder, TestMethod,
-};
+pub use analysis::{leakage_test, AnalysisConfig};
 pub use engine::{
     AnalysisEngine, Engine, EngineComparison, EngineRow, EngineVerdict, KsEngine, MiEngine,
     TvlaEngine,
@@ -104,8 +102,8 @@ pub use engine::{
 pub use error::{DetectError, DetectPhase, RunContext};
 pub use evidence::Evidence;
 pub use fault::{
-    default_fault_classifier, record_run_with_retry, record_run_with_retry_governed, FaultClass,
-    FaultClassifier, FaultLog, FaultRecord, RetryPolicy, RunAttempt,
+    default_fault_classifier, FaultClass, FaultClassifier, FaultLog, FaultRecord, RetryPolicy,
+    RunAttempt,
 };
 pub use filter::{filter_traces, FilterOutcome, InputClass};
 pub use govern::{CancelToken, ResourceBudget, ResourceKind, RunGovernor};
@@ -119,11 +117,7 @@ pub use owl_metrics::{
 };
 pub use owl_stats::EngineOutcome;
 pub use program::TracedProgram;
-pub use record::{
-    record_run, record_run_governed, record_run_metered, record_run_with_interpreter, record_trace,
-    record_trace_on, RunSpec,
-};
+pub use record::{record_run_metered, record_trace, Recorder, RunSpec};
 pub use report::{Leak, LeakKind, LeakLocation, LeakReport};
 pub use summary::{verdict_name, BudgetUtilization, DetectionSummary, MetricsReport, PhaseStatsMs};
 pub use trace::{InvocationKey, KernelInvocation, MallocRecord, ProgramTrace};
-pub use tracer::OwlTracer;

@@ -1,18 +1,18 @@
 //! The Owl detector: the three phases end to end.
 
-use crate::analysis::{engine_reports, leakage_test, AnalysisConfig, TestMethod};
+use crate::analysis::engine_reports;
 use crate::engine::{Engine, EngineComparison};
 use crate::error::{DetectError, DetectPhase, RunContext};
 use crate::evidence::Evidence;
-use crate::fault::{
-    record_run_with_retry_governed, FaultLog, FaultRecord, RetryPolicy, RunAttempt,
-};
+use crate::fault::{FaultLog, FaultRecord, RetryPolicy, RunAttempt};
 use crate::filter::{filter_traces, FilterOutcome};
 use crate::govern::{CancelToken, ResourceBudget, ResourceKind, RunGovernor};
 use crate::parallel::parallel_map;
 use crate::program::TracedProgram;
-use crate::record::RunSpec;
+use crate::record::{Recorder, RunSpec};
 use crate::report::LeakReport;
+use crate::trace::ProgramTrace;
+use owl_gpu::exec::Interpreter;
 use owl_metrics::{FaultCounters, PhaseFaultCounters, SimCounters, Spans};
 use std::time::{Duration, Instant};
 
@@ -295,21 +295,8 @@ impl OwlConfigBuilder {
         self
     }
 
-    /// Deprecated spelling of [`OwlConfigBuilder::engine`], kept for one
-    /// release.
-    pub fn method(self, method: TestMethod) -> Self {
-        self.engine(method)
-    }
-
     /// Runs every engine over the shared evidence and records the
     /// cross-engine agreement table ([`Detection::engine_comparison`]).
-    pub fn engines_all(mut self) -> Self {
-        self.config.compare_engines = true;
-        self
-    }
-
-    /// Explicitly sets comparison mode (see
-    /// [`OwlConfigBuilder::engines_all`]).
     pub fn compare_engines(mut self, compare: bool) -> Self {
         self.config.compare_engines = compare;
         self
@@ -478,56 +465,6 @@ pub struct Detection<I> {
     pub engine_comparison: Option<EngineComparison>,
 }
 
-/// One evidence-phase work item: a contiguous chunk of run indices for one
-/// recording stream (the shared `E_rnd` or one class's `E_fix`).
-struct EvidenceItem {
-    /// `None` = random evidence, `Some(c)` = class `c`'s fixed evidence.
-    class: Option<usize>,
-    /// The stream the runs belong to.
-    stream: u64,
-    /// First run index of the chunk.
-    start: usize,
-    /// One past the last run index of the chunk.
-    end: usize,
-}
-
-/// What one evidence chunk produced: the partial evidence over its
-/// surviving runs, plus the chunk's fault accounting. Chunks never fail —
-/// faulty runs inside them are quarantined per run.
-struct ChunkOutcome {
-    partial: Evidence,
-    counters: SimCounters,
-    fault_counters: PhaseFaultCounters,
-    faults: Vec<FaultRecord>,
-    kept: usize,
-    elapsed: Duration,
-}
-
-/// Converts a phase-1 run outcome into either a kept trace or a fault
-/// record, folding its attempt counts into the phase counters.
-fn settle_attempt(
-    attempt: RunAttempt,
-    context: RunContext,
-    phase_counters: &mut PhaseFaultCounters,
-    faults: &mut FaultLog,
-) -> Option<(crate::trace::ProgramTrace, SimCounters)> {
-    attempt.count_into(phase_counters);
-    match attempt.result {
-        Ok(recorded) => Some(recorded),
-        Err(error) => {
-            faults.push(FaultRecord {
-                context: RunContext {
-                    attempt: attempt.attempts.saturating_sub(1),
-                    ..context
-                },
-                attempts: attempt.attempts,
-                error,
-            });
-            None
-        }
-    }
-}
-
 /// Runs the full Owl pipeline on `program` with the given user inputs.
 ///
 /// Phase 1 records one trace per user input; phase 2 groups them into
@@ -608,468 +545,574 @@ where
     if user_inputs.is_empty() {
         return Err(DetectError::NoInputs);
     }
-    // The effective token: the caller's, tightened by the config deadline.
-    // A deadline with no caller token gets a fresh token to hang off.
-    let token: Option<CancelToken> = match (cancel, config.budget.deadline) {
+    let t_total = Instant::now();
+    let token = effective_token(cancel, config.budget.deadline);
+    let pipeline = Pipeline {
+        program,
+        config,
+        recorder: Recorder {
+            interpreter: Interpreter::Lowered,
+            governor: RunGovernor {
+                budget: &config.budget,
+                cancel: token.as_ref(),
+            },
+            retry: config.retry,
+        },
+        token: token.as_ref(),
+        workers: config.parallelism.max(1),
+    };
+    let mut ledger = Ledger::default();
+    let mut spans = Spans::new();
+    let mut stats = PhaseStats::default();
+
+    // Phases 1 + 2: one trace per user input, filtered into classes.
+    let t = Instant::now();
+    let inputs = ledger.absorb(pipeline.inputs(user_inputs));
+    let filter = filter_traces(&inputs.kept, inputs.traces);
+    stats.trace_bytes = inputs.trace_bytes;
+    stats.trace_collection_time = lap(&mut spans, "trace_collection", t);
+
+    // Phase 3, unless filtering already decided: no class left to analyse,
+    // or a single class (the paper's leak-free case).
+    let analysed = if filter.classes.is_empty() || (filter.single_class() && !config.force_analysis)
+    {
+        None
+    } else {
+        let t = Instant::now();
+        let evidence = ledger.absorb(pipeline.evidence(&filter));
+        stats.evidence_time = lap(&mut spans, "evidence", t);
+        let t = Instant::now();
+        let analysis = ledger.absorb(pipeline.analyse(&evidence));
+        stats.test_time = lap(&mut spans, "analysis", t);
+        stats.evidence_traces = config.runs * evidence.sets.len();
+        stats.evidence_cpu_time = evidence.cpu_time;
+        stats.evidence_workers = evidence.workers;
+        stats.peak_evidence_bytes = evidence.peak_bytes();
+        Some((evidence, analysis))
+    };
+
+    let verdict = verdict(inputs.lost, analysed.as_ref());
+    let (report, engine_comparison) = match analysed {
+        Some((_, analysis)) => (analysis.report, analysis.comparison),
+        None => (LeakReport::default(), None),
+    };
+    stats.total_time = t_total.elapsed();
+    Ok(Detection {
+        filter,
+        report,
+        verdict,
+        stats,
+        counters: ledger.sim,
+        spans,
+        faults: ledger.faults,
+        fault_counters: ledger.fault_counters,
+        engine_comparison,
+    })
+}
+
+/// The detection's effective cancellation token: the caller's, tightened
+/// by the config deadline. A deadline with no caller token gets a fresh
+/// token to hang off.
+fn effective_token(
+    cancel: Option<&CancelToken>,
+    deadline: Option<Duration>,
+) -> Option<CancelToken> {
+    match (cancel, deadline) {
         (Some(t), Some(d)) => Some(t.deadline_in(d)),
         (Some(t), None) => Some(t.clone()),
         (None, Some(d)) => Some(CancelToken::new().deadline_in(d)),
         (None, None) => None,
-    };
-    let token = token.as_ref();
-    let governor = RunGovernor {
-        budget: &config.budget,
-        cancel: token,
-    };
-    let workers = config.parallelism.max(1);
-    let retry = config.retry;
-    let spec = |stream, run_index| RunSpec {
-        warp_size: config.warp_size,
-        aslr_seed: config.aslr_seed,
-        stream,
-        run_index: run_index as u64,
-        attempt: 0,
-    };
-    let t_total = Instant::now();
-    let mut spans = Spans::new();
-    let mut counters = SimCounters::default();
-    let mut faults = FaultLog::new();
-    let mut fault_counters = FaultCounters::default();
+    }
+}
 
-    // Phase 1 + 2: record one trace per user input (fanned out, collected
-    // in input order) and filter into classes. Counters merge in input
-    // order; u64 addition commutes, so the totals match the serial run.
-    // Failed inputs are quarantined in input order and excluded from
-    // filtering — their loss blocks any clean verdict below.
-    let t0 = Instant::now();
-    let attempts = parallel_map(workers, user_inputs.len(), token, |i| {
-        record_run_with_retry_governed(
-            program,
-            &user_inputs[i],
-            &spec(STREAM_USER, i),
-            &retry,
-            governor,
-        )
-    });
-    let mut kept_inputs = Vec::with_capacity(user_inputs.len());
-    let mut traces = Vec::with_capacity(user_inputs.len());
-    for (i, slot) in attempts.into_iter().enumerate() {
-        // The retry loop catches panics itself, so a chunk-level panic can
-        // only come from the recorder's bookkeeping; quarantine it all the
-        // same rather than crash the detection.
-        let attempt = slot.unwrap_or_else(|panic| RunAttempt {
-            result: Err(DetectError::WorkerPanic {
-                message: panic.message,
-            }),
-            attempts: 1,
-            panics: 1,
+/// Records the wall time since `start` as the span `name` and returns it.
+fn lap(spans: &mut Spans, name: &str, start: Instant) -> Duration {
+    let wall = start.elapsed();
+    spans.record(name, wall);
+    wall
+}
+
+/// The verdict rule. Leaks found on surviving evidence are real regardless
+/// of what was lost; a clean-looking result is only clean when nothing
+/// was: no user input, no quorum, no class test and no evidence budget.
+fn verdict(inputs_lost: bool, analysed: Option<&(Gathered, Analysed)>) -> Verdict {
+    let lost = inputs_lost
+        || analysed.is_some_and(|(evidence, analysis)| {
+            evidence.below_quorum() || evidence.over_budget || analysis.lost
         });
-        let context = RunContext {
-            phase: DetectPhase::TraceCollection,
-            class: None,
-            stream: STREAM_USER,
-            run_index: i as u64,
-            attempt: 0,
-        };
-        if let Some((trace, run_counters)) = settle_attempt(
-            attempt,
-            context,
-            &mut fault_counters.trace_collection,
-            &mut faults,
-        ) {
-            counters.merge(&run_counters);
-            kept_inputs.push(user_inputs[i].clone());
-            traces.push(trace);
+    match analysed {
+        Some((_, analysis)) if !analysis.report.is_clean() => Verdict::Leaky,
+        _ if lost => Verdict::Inconclusive,
+        Some(_) => Verdict::NoInputDependence,
+        None => Verdict::LeakFree,
+    }
+}
+
+/// One phase's fault accounting: its counters and its quarantine records,
+/// in run order.
+struct PhaseFaults {
+    phase: DetectPhase,
+    counters: PhaseFaultCounters,
+    records: FaultLog,
+}
+
+impl PhaseFaults {
+    fn new(phase: DetectPhase) -> Self {
+        PhaseFaults {
+            phase,
+            counters: PhaseFaultCounters::default(),
+            records: FaultLog::new(),
         }
     }
-    let trace_bytes = traces.iter().map(|t| t.size_bytes()).sum::<usize>() / traces.len().max(1);
-    let inputs_lost = kept_inputs.len() < user_inputs.len();
-    let filter = filter_traces(&kept_inputs, traces);
-    let trace_collection_time = t0.elapsed();
-    spans.record("trace_collection", trace_collection_time);
 
-    // Every input quarantined: nothing to analyse, and nothing clean to
-    // certify either.
-    if filter.classes.is_empty() {
-        return Ok(Detection {
-            filter,
-            report: LeakReport::default(),
-            verdict: Verdict::Inconclusive,
-            stats: PhaseStats {
-                trace_collection_time,
-                trace_bytes,
-                total_time: t_total.elapsed(),
-                ..Default::default()
-            },
-            counters,
-            spans,
-            faults,
-            fault_counters,
-            engine_comparison: None,
-        });
-    }
-
-    if filter.single_class() && !config.force_analysis {
-        // A single class is only leak-free when every input actually made
-        // it into the comparison.
-        let verdict = if inputs_lost {
-            Verdict::Inconclusive
-        } else {
-            Verdict::LeakFree
-        };
-        return Ok(Detection {
-            filter,
-            report: LeakReport::default(),
-            verdict,
-            stats: PhaseStats {
-                trace_collection_time,
-                trace_bytes,
-                total_time: t_total.elapsed(),
-                ..Default::default()
-            },
-            counters,
-            spans,
-            faults,
-            fault_counters,
-            engine_comparison: None,
-        });
-    }
-
-    // Phase 3: evidence. One work item per run chunk, for the shared
-    // random evidence and every class's fixed evidence alike; workers fold
-    // their chunk into a partial [`Evidence`], and the partials merge in
-    // chunk order below. Runs that exhaust their retries are quarantined
-    // inside the chunk; the chunk still yields the rest of its runs.
-    let t1 = Instant::now();
-    let mut items = Vec::new();
-    for class in std::iter::once(None).chain((0..filter.classes.len()).map(Some)) {
-        let stream = match class {
-            None => STREAM_RND,
-            Some(c) => fix_stream(c),
-        };
-        let mut start = 0;
-        while start < config.runs {
-            let end = (start + EVIDENCE_CHUNK).min(config.runs);
-            items.push(EvidenceItem {
+    /// Records the quarantine of run `(stream, run_index)` after
+    /// `attempts` attempts; the context names the last, losing attempt.
+    fn quarantine(
+        &mut self,
+        class: Option<usize>,
+        stream: u64,
+        run_index: u64,
+        attempts: u32,
+        error: DetectError,
+    ) {
+        self.records.push(FaultRecord {
+            context: RunContext {
+                phase: self.phase,
                 class,
                 stream,
-                start,
-                end,
-            });
-            start = end;
-        }
-    }
-    let evidence_workers = workers.min(items.len()).max(1);
-    let partials = parallel_map(evidence_workers, items.len(), token, |i| {
-        let item = &items[i];
-        let t = Instant::now();
-        let mut outcome = ChunkOutcome {
-            partial: Evidence::default(),
-            counters: SimCounters::default(),
-            fault_counters: PhaseFaultCounters::default(),
-            faults: Vec::new(),
-            kept: 0,
-            elapsed: Duration::ZERO,
-        };
-        // With ASLR off and a host audited pure (`deterministic_host`),
-        // a fixed-class run is a pure function of `(program, input)` —
-        // `run_index` only feeds the layout seed — so every run of this
-        // item produces a bit-identical trace and counters. Record once
-        // and replicate exactly instead of re-recording `n` identical
-        // runs. Impure hosts (e.g. a per-run nonce) must keep
-        // re-recording: their fixed-run noise has to reach the evidence
-        // so the differential test can dismiss it.
-        let mut replicated = false;
-        if let (Some(c), None, true) = (item.class, config.aslr_seed, program.deterministic_host())
-        {
-            let input = &filter.classes[c].representative;
-            let attempt = record_run_with_retry_governed(
-                program,
-                input,
-                &spec(item.stream, item.start),
-                &retry,
-                governor,
-            );
-            if attempt.result.is_ok() {
-                // The probe records once for the whole chunk, so its retry
-                // accounting folds exactly once (not per replica).
-                attempt.count_into(&mut outcome.fault_counters);
-            }
-            if let Ok((trace, run_counters)) = attempt.result {
-                let n = item.end - item.start;
-                for _ in 0..n {
-                    outcome.counters.merge(&run_counters);
-                }
-                outcome.partial.merge_trace_repeated(trace, n as u64);
-                outcome.kept = n;
-                replicated = true;
-            }
-            // A failed probe falls through to the per-run loop: each run
-            // then earns its own retries and its own quarantine record,
-            // exactly as an impure host would. The probe's attempts are
-            // not counted — the per-run loop re-derives the failure.
-        }
-        if !replicated {
-            for run in item.start..item.end {
-                let random_input;
-                let input = match item.class {
-                    None => {
-                        random_input = program.random_input(config.seed.wrapping_add(run as u64));
-                        &random_input
-                    }
-                    Some(c) => &filter.classes[c].representative,
-                };
-                let attempt = record_run_with_retry_governed(
-                    program,
-                    input,
-                    &spec(item.stream, run),
-                    &retry,
-                    governor,
-                );
-                attempt.count_into(&mut outcome.fault_counters);
-                match attempt.result {
-                    Ok((trace, run_counters)) => {
-                        outcome.counters.merge(&run_counters);
-                        outcome.partial.merge_trace(trace);
-                        outcome.kept += 1;
-                    }
-                    Err(error) => outcome.faults.push(FaultRecord {
-                        context: RunContext {
-                            phase: DetectPhase::Evidence,
-                            class: item.class,
-                            stream: item.stream,
-                            run_index: run as u64,
-                            attempt: attempt.attempts.saturating_sub(1),
-                        },
-                        attempts: attempt.attempts,
-                        error,
-                    }),
-                }
-            }
-        }
-        outcome.elapsed = t.elapsed();
-        outcome
-    });
-    let mut evidence_cpu_time = Duration::ZERO;
-    let mut rnd = Evidence::default();
-    let mut rnd_kept = 0usize;
-    let mut fixes = vec![Evidence::default(); filter.classes.len()];
-    let mut fix_kept = vec![0usize; filter.classes.len()];
-    for (item, slot) in items.iter().zip(partials) {
-        match slot {
-            Ok(outcome) => {
-                evidence_cpu_time += outcome.elapsed;
-                counters.merge(&outcome.counters);
-                fault_counters.evidence.merge(&outcome.fault_counters);
-                for record in outcome.faults {
-                    faults.push(record);
-                }
-                match item.class {
-                    None => {
-                        rnd.merge(outcome.partial);
-                        rnd_kept += outcome.kept;
-                    }
-                    Some(c) => {
-                        fixes[c].merge(outcome.partial);
-                        fix_kept[c] += outcome.kept;
-                    }
-                }
-            }
-            Err(panic) => {
-                // The per-run retry loop catches program panics, so losing
-                // a whole chunk is a recorder bug — quarantine every run
-                // in it deterministically rather than abort.
-                let lost = (item.end - item.start) as u64;
-                fault_counters.evidence.panics += 1;
-                fault_counters.evidence.failed_attempts += lost;
-                fault_counters.evidence.quarantined += lost;
-                faults.push(FaultRecord {
-                    context: RunContext {
-                        phase: DetectPhase::Evidence,
-                        class: item.class,
-                        stream: item.stream,
-                        run_index: item.start as u64,
-                        attempt: 0,
-                    },
-                    attempts: 1,
-                    error: DetectError::WorkerPanic {
-                        message: panic.message,
-                    },
-                });
-            }
-        }
-    }
-    let evidence_time = t1.elapsed();
-    spans.record("evidence", evidence_time);
-    let peak_evidence_bytes =
-        rnd.size_bytes() + fixes.iter().map(Evidence::size_bytes).max().unwrap_or(0);
-
-    // Evidence-footprint budget: the *total* merged evidence this
-    // detection holds. Checked on the main thread after the merge, so the
-    // outcome is a pure function of `(program, inputs, config)` — the
-    // deterministic-budget contract. The evidence is kept (it was already
-    // paid for and may prove a leak); the overrun is recorded as a fault
-    // and blocks any clean verdict below.
-    let evidence_bytes = rnd.size_bytes() + fixes.iter().map(Evidence::size_bytes).sum::<usize>();
-    let mut evidence_over_budget = false;
-    if let Err(error) = config.budget.check_evidence(evidence_bytes) {
-        evidence_over_budget = true;
-        fault_counters.evidence.budget_exhausted += 1;
-        faults.push(FaultRecord {
-            context: RunContext {
-                phase: DetectPhase::Evidence,
-                class: None,
-                stream: STREAM_RND,
-                run_index: 0,
-                attempt: 0,
+                run_index,
+                attempt: attempts.saturating_sub(1),
             },
-            attempts: 1,
+            attempts,
             error,
         });
     }
 
-    // Quorum: a distribution test is only trusted when both of its sides
-    // kept enough runs. Shortfalls skip the affected tests (never fake
-    // them) and force an inconclusive verdict below.
-    let quorum = config.quorum();
-    let rnd_ok = rnd_kept >= quorum;
-    let class_ok: Vec<bool> = fix_kept.iter().map(|&kept| kept >= quorum).collect();
-    let below_quorum = !rnd_ok || class_ok.iter().any(|&ok| !ok);
-
-    // Distribution tests: one per class, fanned out, merged in class order.
-    // In comparison mode every engine analyses the same evidence; the
-    // per-engine reports merge engine-wise in class order (deterministic),
-    // the primary report is the configured engine's, and the agreement
-    // table is derived from the merged per-engine reports.
-    let t2 = Instant::now();
-    let analysis_config = AnalysisConfig {
-        alpha: config.alpha,
-        method: config.method,
-    };
-    let quarantine_analysis_panic =
-        |c: usize, message: &str, fault_counters: &mut FaultCounters, faults: &mut FaultLog| {
-            fault_counters.analysis.panics += 1;
-            fault_counters.analysis.failed_attempts += 1;
-            fault_counters.analysis.quarantined += 1;
-            faults.push(FaultRecord {
-                context: RunContext {
-                    phase: DetectPhase::Analysis,
-                    class: Some(c),
-                    stream: fix_stream(c),
-                    run_index: 0,
-                    attempt: 0,
-                },
-                attempts: 1,
-                error: DetectError::WorkerPanic {
-                    message: message.to_string(),
-                },
-            });
-        };
-    let mut report = LeakReport::default();
-    let mut analysis_lost = false;
-    let mut engine_comparison = None;
-    // Cancellation is snapshotted once: either the whole analysis runs or
-    // none of it does, so a deadline racing the fan-out cannot yield a
-    // report built from an unpredictable subset of classes.
-    let analysis_cancelled = token.is_some_and(CancelToken::is_cancelled);
-    if analysis_cancelled {
-        analysis_lost = true;
-        for c in 0..fixes.len() {
-            fault_counters.analysis.failed_attempts += 1;
-            fault_counters.analysis.quarantined += 1;
-            fault_counters.analysis.cancelled += 1;
-            faults.push(FaultRecord {
-                context: RunContext {
-                    phase: DetectPhase::Analysis,
-                    class: Some(c),
-                    stream: fix_stream(c),
-                    run_index: 0,
-                    attempt: 0,
-                },
-                attempts: 1,
-                error: DetectError::Cancelled,
-            });
-        }
-    } else if config.compare_engines {
-        let class_reports = parallel_map(workers, fixes.len(), token, |c| {
-            if !rnd_ok || !class_ok[c] {
-                return None;
-            }
-            Some(engine_reports(&fixes[c], &rnd, &analysis_config))
-        });
-        let mut merged: Vec<(Engine, LeakReport)> = Engine::ALL
-            .iter()
-            .map(|&engine| (engine, LeakReport::default()))
-            .collect();
-        for (c, slot) in class_reports.iter().enumerate() {
-            match slot {
-                Ok(Some(per_engine)) => {
-                    for ((_, acc), (_, class_report)) in merged.iter_mut().zip(per_engine) {
-                        acc.merge(class_report);
-                    }
-                }
-                Ok(None) => {} // below quorum — already covered by `below_quorum`
-                Err(panic) => {
-                    analysis_lost = true;
-                    quarantine_analysis_panic(c, &panic.message, &mut fault_counters, &mut faults);
-                }
-            }
-        }
-        report = merged
-            .iter()
-            .find(|(engine, _)| *engine == config.method)
-            .map(|(_, r)| r.clone())
-            .unwrap_or_default();
-        engine_comparison = Some(EngineComparison::from_reports(&merged));
-    } else {
-        let class_reports = parallel_map(workers, fixes.len(), token, |c| {
-            if !rnd_ok || !class_ok[c] {
-                return None;
-            }
-            Some(leakage_test(&fixes[c], &rnd, &analysis_config))
-        });
-        for (c, slot) in class_reports.iter().enumerate() {
-            match slot {
-                Ok(Some(class_report)) => report.merge(class_report),
-                Ok(None) => {} // below quorum — already covered by `below_quorum`
-                Err(panic) => {
-                    analysis_lost = true;
-                    quarantine_analysis_panic(c, &panic.message, &mut fault_counters, &mut faults);
-                }
+    /// Folds a run's attempts into the counters and returns its recording,
+    /// or quarantines the run when every attempt failed.
+    fn settle(
+        &mut self,
+        attempt: RunAttempt,
+        class: Option<usize>,
+        stream: u64,
+        run_index: u64,
+    ) -> Option<(ProgramTrace, SimCounters)> {
+        attempt.count_into(&mut self.counters);
+        match attempt.result {
+            Ok(recorded) => Some(recorded),
+            Err(error) => {
+                self.quarantine(class, stream, run_index, attempt.attempts, error);
+                None
             }
         }
     }
-    let test_time = t2.elapsed();
-    spans.record("analysis", test_time);
 
-    // Leaks found on surviving evidence are real regardless of what was
-    // lost; a clean-looking result is only leak-free when nothing was.
-    let verdict = if !report.is_clean() {
-        Verdict::Leaky
-    } else if inputs_lost || below_quorum || analysis_lost || evidence_over_budget {
-        Verdict::Inconclusive
-    } else {
-        Verdict::NoInputDependence
-    };
-    Ok(Detection {
-        stats: PhaseStats {
-            trace_collection_time,
-            trace_bytes,
-            evidence_traces: config.runs * (1 + filter.classes.len()),
-            evidence_time,
-            evidence_cpu_time,
-            evidence_workers,
-            test_time,
-            peak_evidence_bytes,
-            total_time: t_total.elapsed(),
-        },
-        filter,
-        report,
-        verdict,
-        counters,
-        spans,
-        faults,
-        fault_counters,
-        engine_comparison,
-    })
+    /// Quarantines a work item lost whole on its first try — a caught
+    /// panic or a cancelled class test — under one record, counting each of
+    /// its `runs` runs as failed.
+    fn lose(
+        &mut self,
+        class: Option<usize>,
+        stream: u64,
+        run_index: u64,
+        runs: u64,
+        error: DetectError,
+    ) {
+        self.counters.failed_attempts += runs;
+        self.counters.quarantined += runs;
+        match error {
+            DetectError::WorkerPanic { .. } => self.counters.panics += 1,
+            DetectError::Cancelled => self.counters.cancelled += runs,
+            _ => {}
+        }
+        self.quarantine(class, stream, run_index, 1, error);
+    }
+
+    fn merge(&mut self, other: PhaseFaults) {
+        self.counters.merge(&other.counters);
+        self.records.extend(other.records);
+    }
+}
+
+/// A phase's output with the simulator work and the faults it adds to the
+/// detection.
+struct Phased<T> {
+    output: T,
+    sim: SimCounters,
+    faults: PhaseFaults,
+}
+
+/// The detection-wide accounting, merged phase by phase in phase order, so
+/// the fault log lists phase-1 inputs, then evidence chunks, then the
+/// evidence budget, then analysis classes.
+#[derive(Default)]
+struct Ledger {
+    sim: SimCounters,
+    faults: FaultLog,
+    fault_counters: FaultCounters,
+}
+
+impl Ledger {
+    /// Merges a finished phase's accounting and returns its output.
+    fn absorb<T>(&mut self, phased: Phased<T>) -> T {
+        self.sim.merge(&phased.sim);
+        let counters = match phased.faults.phase {
+            DetectPhase::TraceCollection => &mut self.fault_counters.trace_collection,
+            DetectPhase::Evidence => &mut self.fault_counters.evidence,
+            DetectPhase::Analysis => &mut self.fault_counters.analysis,
+        };
+        counters.merge(&phased.faults.counters);
+        self.faults.extend(phased.faults.records);
+        phased.output
+    }
+}
+
+/// Phase 1's output: the user inputs whose recording survived, in input
+/// order, with their traces.
+struct Inputs<I> {
+    kept: Vec<I>,
+    traces: Vec<ProgramTrace>,
+    /// Mean bytes per kept trace.
+    trace_bytes: usize,
+    /// Whether any user input was quarantined.
+    lost: bool,
+}
+
+/// One evidence-phase work item: a contiguous chunk of run indices for one
+/// recording stream (the shared `E_rnd` or one class's `E_fix`).
+struct EvidenceItem {
+    /// `None` = random evidence, `Some(c)` = class `c`'s fixed evidence.
+    class: Option<usize>,
+    /// The stream the runs belong to.
+    stream: u64,
+    /// First run index of the chunk.
+    start: usize,
+    /// One past the last run index of the chunk.
+    end: usize,
+}
+
+/// The evidence phase's output.
+struct Gathered {
+    /// `E_rnd` first, then every class's `E_fix` in class order.
+    sets: Vec<Evidence>,
+    /// Whether each set kept a quorum of runs, aligned with `sets`.
+    quorate: Vec<bool>,
+    /// Whether the merged evidence overran its byte budget.
+    over_budget: bool,
+    /// Summed per-chunk recording time.
+    cpu_time: Duration,
+    /// Worker threads the phase used.
+    workers: usize,
+}
+
+impl Gathered {
+    /// Whether class `c`'s test has a quorum on both sides. Shortfalls skip
+    /// the test (never fake it) and make a clean verdict inconclusive.
+    fn testable(&self, c: usize) -> bool {
+        self.quorate[0] && self.quorate[c + 1]
+    }
+
+    fn below_quorum(&self) -> bool {
+        self.quorate.contains(&false)
+    }
+
+    /// The largest footprint one class test holds: `E_rnd` plus the largest
+    /// `E_fix`.
+    fn peak_bytes(&self) -> usize {
+        self.sets[0].size_bytes()
+            + self.sets[1..]
+                .iter()
+                .map(Evidence::size_bytes)
+                .max()
+                .unwrap_or(0)
+    }
+}
+
+/// The analysis phase's output.
+struct Analysed {
+    /// The configured engine's report, merged over classes.
+    report: LeakReport,
+    /// The agreement table, under [`OwlConfig::compare_engines`].
+    comparison: Option<EngineComparison>,
+    /// Whether any class test was lost to a panic or cancellation.
+    lost: bool,
+}
+
+/// What every phase shares: the program, the config, the recorder every
+/// run goes through, and the fan-out.
+struct Pipeline<'a, P> {
+    program: &'a P,
+    config: &'a OwlConfig,
+    recorder: Recorder<'a>,
+    token: Option<&'a CancelToken>,
+    workers: usize,
+}
+
+impl<P> Pipeline<'_, P>
+where
+    P: TracedProgram + Sync,
+    P::Input: Send + Sync,
+{
+    /// Records run `run_index` of `stream` under the retry policy.
+    fn record(&self, input: &P::Input, stream: u64, run_index: usize) -> RunAttempt {
+        let spec = RunSpec {
+            warp_size: self.config.warp_size,
+            aslr_seed: self.config.aslr_seed,
+            stream,
+            run_index: run_index as u64,
+            attempt: 0,
+        };
+        self.recorder.record(self.program, input, &spec)
+    }
+
+    /// Phase 1: one trace per user input, fanned out and collected in input
+    /// order. Failed inputs are quarantined in input order and left out of
+    /// filtering; their loss blocks any clean verdict.
+    fn inputs(&self, user_inputs: &[P::Input]) -> Phased<Inputs<P::Input>> {
+        let attempts = parallel_map(self.workers, user_inputs.len(), self.token, |i| {
+            self.record(&user_inputs[i], STREAM_USER, i)
+        });
+        let mut sim = SimCounters::default();
+        let mut faults = PhaseFaults::new(DetectPhase::TraceCollection);
+        let mut kept = Vec::with_capacity(user_inputs.len());
+        let mut traces = Vec::with_capacity(user_inputs.len());
+        for (i, slot) in attempts.into_iter().enumerate() {
+            let recorded = match slot {
+                Ok(attempt) => faults.settle(attempt, None, STREAM_USER, i as u64),
+                // The retry loop catches panics itself, so a slot-level
+                // panic can only come from the recorder's bookkeeping;
+                // quarantine it all the same rather than crash.
+                Err(panic) => {
+                    faults.lose(None, STREAM_USER, i as u64, 1, panic.into());
+                    None
+                }
+            };
+            if let Some((trace, run_counters)) = recorded {
+                sim.merge(&run_counters);
+                kept.push(user_inputs[i].clone());
+                traces.push(trace);
+            }
+        }
+        let trace_bytes =
+            traces.iter().map(ProgramTrace::size_bytes).sum::<usize>() / traces.len().max(1);
+        Phased {
+            output: Inputs {
+                lost: kept.len() < user_inputs.len(),
+                kept,
+                traces,
+                trace_bytes,
+            },
+            sim,
+            faults,
+        }
+    }
+
+    /// Phase 3a: the shared random evidence and every class's fixed
+    /// evidence. One work item per chunk of [`EVIDENCE_CHUNK`] runs; the
+    /// partials merge in chunk order, so the result is bit-identical for
+    /// every worker count. Runs that exhaust their retries are quarantined
+    /// inside their chunk; the chunk still yields the rest of its runs.
+    fn evidence(&self, filter: &FilterOutcome<P::Input>) -> Phased<Gathered> {
+        let runs = self.config.runs;
+        let items: Vec<EvidenceItem> = std::iter::once(None)
+            .chain((0..filter.classes.len()).map(Some))
+            .flat_map(|class| {
+                (0..runs)
+                    .step_by(EVIDENCE_CHUNK)
+                    .map(move |start| EvidenceItem {
+                        class,
+                        stream: class.map_or(STREAM_RND, fix_stream),
+                        start,
+                        end: (start + EVIDENCE_CHUNK).min(runs),
+                    })
+            })
+            .collect();
+        let workers = self.workers.min(items.len()).max(1);
+        let chunks = parallel_map(workers, items.len(), self.token, |i| {
+            let t = Instant::now();
+            let chunk = self.record_chunk(filter, &items[i]);
+            (chunk, t.elapsed())
+        });
+        let mut sim = SimCounters::default();
+        let mut faults = PhaseFaults::new(DetectPhase::Evidence);
+        let mut sets = vec![Evidence::default(); 1 + filter.classes.len()];
+        let mut cpu_time = Duration::ZERO;
+        for (item, slot) in items.iter().zip(chunks) {
+            match slot {
+                Ok((chunk, elapsed)) => {
+                    cpu_time += elapsed;
+                    sim.merge(&chunk.sim);
+                    faults.merge(chunk.faults);
+                    sets[item.class.map_or(0, |c| c + 1)].merge(chunk.output);
+                }
+                // The per-run retry loop catches program panics, so losing
+                // a whole chunk is a recorder bug — quarantine every run in
+                // it deterministically rather than abort.
+                Err(panic) => {
+                    let lost = (item.end - item.start) as u64;
+                    faults.lose(
+                        item.class,
+                        item.stream,
+                        item.start as u64,
+                        lost,
+                        panic.into(),
+                    );
+                }
+            }
+        }
+
+        // The evidence-footprint budget bounds the *total* merged evidence.
+        // It is checked here, after the merge, so the outcome is a pure
+        // function of `(program, inputs, config)`. The evidence is kept (it
+        // was already paid for and may prove a leak); the overrun is
+        // recorded and blocks any clean verdict.
+        let bytes = sets.iter().map(Evidence::size_bytes).sum();
+        let over_budget = match self.config.budget.check_evidence(bytes) {
+            Ok(()) => false,
+            Err(error) => {
+                faults.counters.budget_exhausted += 1;
+                faults.quarantine(None, STREAM_RND, 0, 1, error);
+                true
+            }
+        };
+        let quorum = self.config.quorum() as u64;
+        Phased {
+            output: Gathered {
+                quorate: sets.iter().map(|set| set.runs >= quorum).collect(),
+                sets,
+                over_budget,
+                cpu_time,
+                workers,
+            },
+            sim,
+            faults,
+        }
+    }
+
+    /// Records one evidence chunk into a partial [`Evidence`] over its
+    /// surviving runs. Chunks never fail; faulty runs inside them are
+    /// quarantined per run.
+    fn record_chunk(
+        &self,
+        filter: &FilterOutcome<P::Input>,
+        item: &EvidenceItem,
+    ) -> Phased<Evidence> {
+        let mut chunk = Phased {
+            output: Evidence::default(),
+            sim: SimCounters::default(),
+            faults: PhaseFaults::new(DetectPhase::Evidence),
+        };
+        // With ASLR off and a host audited pure (`deterministic_host`), a
+        // fixed-class run is a pure function of `(program, input)` —
+        // `run_index` only feeds the layout seed — so every run of this
+        // item produces a bit-identical trace and counters. Record once and
+        // replicate exactly instead of re-recording `n` identical runs.
+        // Impure hosts (e.g. a per-run nonce) must keep re-recording: their
+        // fixed-run noise has to reach the evidence so the differential
+        // test can dismiss it.
+        let replicable = self.config.aslr_seed.is_none() && self.program.deterministic_host();
+        if let Some(c) = item.class.filter(|_| replicable) {
+            let probe = self.record(&filter.classes[c].representative, item.stream, item.start);
+            if probe.result.is_ok() {
+                // The probe records once for the whole chunk, so its retry
+                // accounting folds exactly once (not per replica).
+                probe.count_into(&mut chunk.faults.counters);
+            }
+            if let Ok((trace, run_counters)) = probe.result {
+                let n = item.end - item.start;
+                for _ in 0..n {
+                    chunk.sim.merge(&run_counters);
+                }
+                chunk.output.merge_trace_repeated(trace, n as u64);
+                return chunk;
+            }
+            // A failed probe falls through to the per-run loop: each run
+            // then earns its own retries and its own quarantine record,
+            // exactly as an impure host would. The probe's attempts are not
+            // counted — the per-run loop re-derives the failure.
+        }
+        for run in item.start..item.end {
+            let random_input;
+            let input = match item.class {
+                None => {
+                    random_input = self
+                        .program
+                        .random_input(self.config.seed.wrapping_add(run as u64));
+                    &random_input
+                }
+                Some(c) => &filter.classes[c].representative,
+            };
+            let attempt = self.record(input, item.stream, run);
+            let run_index = run as u64;
+            if let Some((trace, run_counters)) =
+                chunk
+                    .faults
+                    .settle(attempt, item.class, item.stream, run_index)
+            {
+                chunk.sim.merge(&run_counters);
+                chunk.output.merge_trace(trace);
+            }
+        }
+        chunk
+    }
+
+    /// Phase 3b: the distribution tests, one per class, fanned out and
+    /// merged in class order. Every engine in the list analyses the same
+    /// evidence — all of [`Engine::ALL`] under comparison mode, otherwise
+    /// just the configured one — and per-engine reports merge engine-wise.
+    /// The primary report is the configured engine's.
+    fn analyse(&self, evidence: &Gathered) -> Phased<Analysed> {
+        let config = self.config;
+        let engines: &[Engine] = if config.compare_engines {
+            &Engine::ALL
+        } else {
+            std::slice::from_ref(&config.method)
+        };
+        // Cancellation is snapshotted once: either the whole analysis runs
+        // or none of it does, so a deadline racing the fan-out cannot yield
+        // a report built from an unpredictable subset of classes.
+        let cancelled = self.token.is_some_and(CancelToken::is_cancelled);
+        let (rnd, fixes) = evidence
+            .sets
+            .split_first()
+            .expect("E_rnd is always gathered");
+        let class_reports = parallel_map(self.workers, fixes.len(), self.token, |c| {
+            (!cancelled && evidence.testable(c))
+                .then(|| engine_reports(&fixes[c], rnd, config.alpha, engines))
+        });
+        let mut merged: Vec<(Engine, LeakReport)> = engines
+            .iter()
+            .map(|&engine| (engine, LeakReport::default()))
+            .collect();
+        let mut faults = PhaseFaults::new(DetectPhase::Analysis);
+        for (c, slot) in class_reports.into_iter().enumerate() {
+            match slot {
+                Ok(Some(per_engine)) => {
+                    for ((_, acc), (_, class_report)) in merged.iter_mut().zip(&per_engine) {
+                        acc.merge(class_report);
+                    }
+                }
+                Ok(None) if cancelled => {
+                    faults.lose(Some(c), fix_stream(c), 0, 1, DetectError::Cancelled);
+                }
+                Ok(None) => {} // below quorum — already covered by `below_quorum`
+                Err(panic) => faults.lose(Some(c), fix_stream(c), 0, 1, panic.into()),
+            }
+        }
+        let comparison =
+            (config.compare_engines && !cancelled).then(|| EngineComparison::from_reports(&merged));
+        let report = merged
+            .into_iter()
+            .find_map(|(engine, report)| (engine == config.method).then_some(report))
+            .unwrap_or_default();
+        Phased {
+            output: Analysed {
+                report,
+                comparison,
+                lost: !faults.records.is_empty(),
+            },
+            sim: SimCounters::default(),
+            faults,
+        }
+    }
 }

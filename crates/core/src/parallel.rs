@@ -29,6 +29,14 @@ pub(crate) struct CaughtPanic {
     pub message: String,
 }
 
+impl From<CaughtPanic> for crate::error::DetectError {
+    fn from(panic: CaughtPanic) -> Self {
+        crate::error::DetectError::WorkerPanic {
+            message: panic.message,
+        }
+    }
+}
+
 /// Applies `f` to every index in `0..n` on up to `workers` threads and
 /// returns the results in index order, one `Result` per item: `Err` holds
 /// the caught panic when `f(i)` unwound.

@@ -4,17 +4,28 @@
 //! program run once, and the host/device observations zipped into a
 //! [`ProgramTrace`]: kernel launches (host side, with call-site identity)
 //! paired with their A-DCFGs (device side), plus allocation records.
+//!
+//! There are three ways to record: [`record_trace`] (a one-shot with no
+//! run identity), [`record_run_metered`] (one attempt of a detector-style
+//! run), and [`Recorder::record`], which every detector recording goes
+//! through: it adds the interpreter choice, budgets, cancellation and the
+//! retry loop.
 
 use crate::error::DetectError;
+use crate::fault::{panic_message, FaultClass, RetryPolicy, RunAttempt};
 use crate::govern::RunGovernor;
 use crate::program::TracedProgram;
 use crate::trace::{InvocationKey, KernelInvocation, MallocRecord, ProgramTrace};
 use crate::tracer::OwlTracer;
+use owl_gpu::exec::{Interpreter, LaunchOptions};
 use owl_host::{Device, HostEvent};
+use owl_metrics::SimCounters;
 use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-/// Records one execution of `program` over `input`.
+/// Records one execution of `program` over `input` on a fresh device with
+/// no run identity (ASLR off, the plain [`TracedProgram::run`] path).
 ///
 /// Every recording uses a fresh [`Device`], so traces are independent of
 /// prior executions (the paper restarts the target per run).
@@ -27,8 +38,7 @@ pub fn record_trace<P: TracedProgram>(
     program: &P,
     input: &P::Input,
 ) -> Result<ProgramTrace, DetectError> {
-    let mut device = Device::new();
-    record_trace_on(program, input, &mut device)
+    record_trace_inner(program, input, &mut Device::new(), None)
 }
 
 /// Identity of one detector-driven recording: everything needed to set up
@@ -39,7 +49,7 @@ pub fn record_trace<P: TracedProgram>(
 /// phase-1 user-input recordings, the shared `E_rnd` recordings, and each
 /// class's `E_fix` recordings live in distinct streams — and the simulated
 /// ASLR layout is a pure mix of `(aslr_seed, stream, run_index)`. Two
-/// [`record_run`] calls with equal arguments produce equal traces.
+/// recordings of equal arguments produce equal traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSpec {
     /// SIMT warp width for the recording device.
@@ -90,26 +100,12 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Records one detector-driven run: a pure function of
-/// `(program, input, spec)`.
+/// One attempt of a detector-driven run, metered: a pure function of
+/// `(program, input, spec)` recorded on the lowered interpreter with no
+/// budget beyond the default fuel and no retry.
 ///
-/// Replaces the former order-dependent closure in `detect()` (which seeded
-/// ASLR from a shared incrementing counter): the device layout now derives
-/// from [`RunSpec::layout_seed`], so any thread may record any run in any
-/// order and produce bit-identical traces.
-///
-/// # Errors
-///
-/// See [`record_trace`].
-pub fn record_run<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    spec: &RunSpec,
-) -> Result<ProgramTrace, DetectError> {
-    record_run_metered(program, input, spec).map(|(trace, _)| trace)
-}
-
-/// [`record_run`] that also returns the run's simulator execution counters.
+/// The device layout derives from [`RunSpec::layout_seed`], so any thread
+/// may record any run in any order and produce bit-identical traces.
 ///
 /// The counters are kept **out of** [`ProgramTrace`] on purpose: traces are
 /// compared and digested by the duplicate filter, and folding counters into
@@ -124,32 +120,115 @@ pub fn record_run_metered<P: TracedProgram>(
     program: &P,
     input: &P::Input,
     spec: &RunSpec,
-) -> Result<(ProgramTrace, owl_metrics::SimCounters), DetectError> {
-    record_run_governed(program, input, spec, RunGovernor::unbounded())
+) -> Result<(ProgramTrace, SimCounters), DetectError> {
+    record_once(
+        program,
+        input,
+        spec,
+        Interpreter::Lowered,
+        RunGovernor::unbounded(),
+    )
 }
 
-/// [`record_run_metered`] under a [`RunGovernor`]: the governor's
-/// instruction budget becomes the simulator fuel for every launch in the
-/// run, its cancellation token is polled cooperatively at basic-block
-/// boundaries, and the per-run memory-event/allocation budgets are checked
-/// once the run completes.
+/// How detector runs are recorded: which interpreter simulates them, the
+/// budgets and cancellation token they run under, and how failed runs are
+/// retried.
 ///
-/// Cancellation is checked *before* the run starts as well, so an expired
-/// deadline fails fast without touching the device. A cancelled run never
-/// yields a partial trace — callers get [`DetectError::Cancelled`] and the
-/// whole run is dropped, which is what keeps surviving evidence
-/// deterministic under wall-clock deadlines.
-///
-/// # Errors
-///
-/// Everything [`record_trace`] raises, plus
-/// [`DetectError::Cancelled`] and [`DetectError::BudgetExhausted`].
-pub fn record_run_governed<P: TracedProgram>(
+/// The default — the lowered interpreter, an unbounded governor and one
+/// attempt — records exactly what [`record_run_metered`] does. The
+/// conformance suites switch `interpreter` to the reference oracle; the
+/// detector sets the config's budgets, its cancellation token and its
+/// retry policy.
+#[derive(Debug, Clone, Copy)]
+pub struct Recorder<'a> {
+    /// The simulator interpreter every launch runs on.
+    pub interpreter: Interpreter,
+    /// Budgets and cancellation: the instruction budget becomes the fuel
+    /// of every launch, the token is polled at basic-block boundaries, and
+    /// the per-run memory-event and allocation budgets are checked once
+    /// the run completes.
+    pub governor: RunGovernor<'a>,
+    /// The retry policy for failed attempts.
+    pub retry: RetryPolicy,
+}
+
+impl Default for Recorder<'static> {
+    fn default() -> Self {
+        Recorder {
+            interpreter: Interpreter::Lowered,
+            governor: RunGovernor::unbounded(),
+            retry: RetryPolicy::no_retries(),
+        }
+    }
+}
+
+impl Recorder<'_> {
+    /// Records one run under the retry policy: attempt `k` uses
+    /// `spec.with_attempt(k)`, failures are classified, and panics inside
+    /// the program or recorder are caught and converted into
+    /// [`DetectError::WorkerPanic`].
+    ///
+    /// `spec` is the run's base identity; its `attempt` field is
+    /// overwritten per attempt. A cancelled detection fails the run before
+    /// it touches a device, and a cancelled or budget-exhausted run never
+    /// yields a partial trace — which is what keeps surviving evidence
+    /// deterministic under wall-clock deadlines.
+    pub fn record<P: TracedProgram>(
+        &self,
+        program: &P,
+        input: &P::Input,
+        spec: &RunSpec,
+    ) -> RunAttempt {
+        let max_attempts = self.retry.max_attempts.max(1);
+        let mut panics = 0u32;
+        let mut attempt = 0u32;
+        loop {
+            let attempt_spec = spec.with_attempt(attempt);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                record_once(
+                    program,
+                    input,
+                    &attempt_spec,
+                    self.interpreter,
+                    self.governor,
+                )
+            }));
+            let error = match outcome {
+                Ok(Ok(recorded)) => {
+                    return RunAttempt {
+                        result: Ok(recorded),
+                        attempts: attempt + 1,
+                        panics,
+                    }
+                }
+                Ok(Err(e)) => e,
+                Err(payload) => {
+                    panics += 1;
+                    DetectError::WorkerPanic {
+                        message: panic_message(payload),
+                    }
+                }
+            };
+            attempt += 1;
+            if attempt >= max_attempts || (self.retry.classify)(&error) == FaultClass::Permanent {
+                return RunAttempt {
+                    result: Err(error),
+                    attempts: attempt,
+                    panics,
+                };
+            }
+        }
+    }
+}
+
+/// One attempt of one run under `governor` on `interpreter`.
+fn record_once<P: TracedProgram>(
     program: &P,
     input: &P::Input,
     spec: &RunSpec,
+    interpreter: Interpreter,
     governor: RunGovernor<'_>,
-) -> Result<(ProgramTrace, owl_metrics::SimCounters), DetectError> {
+) -> Result<(ProgramTrace, SimCounters), DetectError> {
     if governor.is_cancelled() {
         return Err(DetectError::Cancelled);
     }
@@ -160,9 +239,9 @@ pub fn record_run_governed<P: TracedProgram>(
         None => Device::new(),
         Some(seed) => Device::with_aslr(seed),
     };
-    device.set_launch_options(owl_gpu::exec::LaunchOptions {
+    device.set_launch_options(LaunchOptions {
         warp_size: spec.warp_size,
-        interpreter: owl_gpu::exec::Interpreter::Lowered,
+        interpreter,
         fuel: governor.budget.max_instructions,
         cancel: governor.cancel.cloned(),
     });
@@ -174,55 +253,10 @@ pub fn record_run_governed<P: TracedProgram>(
     Ok((trace, counters))
 }
 
-/// [`record_run_metered`] with an explicit simulator interpreter.
-///
-/// This is the conformance seam: the `owl-conformance` suite records the
-/// same `(program, input, spec)` under the lowered fast path and under the
-/// reference oracle and asserts the resulting [`ProgramTrace`]s (and their
-/// digests, and the execution counters) are bit-identical. Production
-/// callers should use [`record_run`] / [`record_run_metered`], which pin
-/// the lowered interpreter.
-///
-/// # Errors
-///
-/// See [`record_trace`].
-pub fn record_run_with_interpreter<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    spec: &RunSpec,
-    interpreter: owl_gpu::exec::Interpreter,
-) -> Result<(ProgramTrace, owl_metrics::SimCounters), DetectError> {
-    let mut device = match spec.layout_seed() {
-        None => Device::new(),
-        Some(seed) => Device::with_aslr(seed),
-    };
-    device.set_launch_options(owl_gpu::exec::LaunchOptions {
-        warp_size: spec.warp_size,
-        interpreter,
-        ..owl_gpu::exec::LaunchOptions::default()
-    });
-    let trace = record_trace_inner(program, input, &mut device, Some(spec))?;
-    Ok((trace, device.total_stats().counters))
-}
-
-/// [`record_trace`] on a caller-provided device (e.g. one with simulated
-/// ASLR enabled, to exercise the normalisation path).
-///
-/// # Errors
-///
-/// See [`record_trace`].
-pub fn record_trace_on<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    device: &mut Device,
-) -> Result<ProgramTrace, DetectError> {
-    record_trace_inner(program, input, device, None)
-}
-
 /// The shared recording core. Detector-driven runs pass their [`RunSpec`]
 /// so spec-aware programs ([`TracedProgram::run_with_spec`], e.g. the
 /// fault-injection wrapper) can key behaviour on the run identity;
-/// spec-less entry points pass `None` and hit the plain `run` path.
+/// [`record_trace`] passes `None` and hits the plain `run` path.
 fn record_trace_inner<P: TracedProgram>(
     program: &P,
     input: &P::Input,
@@ -396,13 +430,19 @@ mod tests {
     fn recording_is_aslr_invariant() {
         let toy = Toy::new();
         let plain = record_trace(&toy, &5).unwrap();
-        let mut dev = Device::with_aslr(42);
-        let aslr = record_trace_on(&toy, &5, &mut dev).unwrap();
+        let spec = RunSpec {
+            warp_size: 32,
+            aslr_seed: Some(42),
+            stream: 0,
+            run_index: 0,
+            attempt: 0,
+        };
+        let (aslr, _) = record_run_metered(&toy, &5, &spec).unwrap();
         assert_eq!(plain, aslr);
     }
 
     #[test]
-    fn record_run_is_pure_in_its_spec() {
+    fn recorder_is_pure_in_its_spec() {
         let toy = Toy::new();
         let spec = RunSpec {
             warp_size: 32,
@@ -411,9 +451,10 @@ mod tests {
             run_index: 11,
             attempt: 0,
         };
-        let a = record_run(&toy, &5, &spec).unwrap();
-        let b = record_run(&toy, &5, &spec).unwrap();
-        assert_eq!(a, b);
+        let record = || Recorder::default().record(&toy, &5, &spec);
+        let (a, b) = (record(), record());
+        assert_eq!((a.attempts, a.panics), (1, 0));
+        assert_eq!(a.result.unwrap(), b.result.unwrap());
     }
 
     #[test]
@@ -432,8 +473,9 @@ mod tests {
         assert_eq!(counters_a, counters_b);
         assert!(counters_a.instructions > 0);
         assert!(counters_a.mem_accesses > 0);
-        // The plain recorder sees the same trace.
-        assert_eq!(record_run(&toy, &5, &spec).unwrap(), trace_a);
+        // The default recorder sees the same run.
+        let recorded = Recorder::default().record(&toy, &5, &spec).result;
+        assert_eq!(recorded.unwrap(), (trace_a, counters_a));
     }
 
     #[test]
@@ -446,21 +488,18 @@ mod tests {
             run_index: 7,
             attempt: 0,
         };
+        let record = |interpreter, input| {
+            Recorder {
+                interpreter,
+                ..Recorder::default()
+            }
+            .record(&toy, &input, &spec)
+            .result
+            .unwrap()
+        };
         for input in [2u64, 5] {
-            let (fast, fast_counters) = record_run_with_interpreter(
-                &toy,
-                &input,
-                &spec,
-                owl_gpu::exec::Interpreter::Lowered,
-            )
-            .unwrap();
-            let (oracle, oracle_counters) = record_run_with_interpreter(
-                &toy,
-                &input,
-                &spec,
-                owl_gpu::exec::Interpreter::Oracle,
-            )
-            .unwrap();
+            let (fast, fast_counters) = record(Interpreter::Lowered, input);
+            let (oracle, oracle_counters) = record(Interpreter::Oracle, input);
             assert_eq!(fast, oracle);
             assert_eq!(fast.digest(), oracle.digest());
             assert_eq!(fast_counters, oracle_counters);

@@ -1,23 +1,6 @@
 //! `owl-detect` — run the Owl detector against any bundled workload.
 //!
-//! ```text
-//! owl-detect <workload> [--runs N] [--alpha F] [--engine ks|tvla|mi]
-//!            [--compare-engines] [--aslr SEED]
-//!            [--parallelism N] [--retries N] [--min-runs N]
-//!            [--max-instructions N] [--max-mem-events N]
-//!            [--max-allocations N] [--max-evidence-bytes N]
-//!            [--deadline-ms N]
-//!            [--inject transient|quarantine|panic|budget|deadline]
-//!            [--format text|json] [--metrics-out PATH]
-//!
-//! workloads:
-//!   aes-ttable | aes-scan | rsa-sqm | rsa-ladder
-//!   torch:<relu|sigmoid|tanh|softmax|maxpool2d|avgpool2d|conv2d|linear|
-//!          mseloss|nllloss|crossentropy|repr|embedding|layernorm>
-//!   jpeg-encode | jpeg-decode | jpeg-encode-fixed
-//!   dummy[:<threads>] | noise | histogram | histogram-oblivious
-//!   search | search-fixed | mlp | coalescing | render | runaway
-//! ```
+//! `owl-detect --help` prints the flags and workloads ([`USAGE`]).
 //!
 //! `--format json` prints the schema-versioned [`DetectionSummary`] on
 //! stdout: a deterministic document, byte-identical for every
@@ -27,15 +10,17 @@
 //! separate JSON file.
 //!
 //! `--engine` selects the analysis engine: `ks` (the paper's two-sample
-//! KS test, the default), `tvla` (Welch's t-test, |t| > 4.5; `--welch` is
-//! the deprecated alias), or `mi` (mutual-information quantification in
-//! bits per observation). `--compare-engines` runs all three over the same
-//! evidence and adds the per-location agreement table to the output; the
-//! verdict and exit code still come from the `--engine` selection.
+//! KS test, the default), `tvla` (Welch's t-test, |t| > 4.5), or `mi`
+//! (mutual-information quantification in bits per observation).
+//! `--compare-engines` runs all three over the same evidence and adds the
+//! per-location agreement table to the output; the verdict and exit code
+//! still come from the `--engine` selection.
 //!
 //! Exit codes encode the verdict: 0 = leak-free / no input dependence,
 //! 2 = leaks found, 3 = inconclusive (too many runs quarantined to certify
 //! a clean result — consult the fault log), 1 = usage or runtime error.
+//! `--metrics-out` is written before stdout, and a reader that closes
+//! stdout early (`| head`) does not change the exit code.
 //!
 //! `--inject` wraps the workload in the deterministic fault-injection
 //! harness (testing/demo only): `transient` faults recover through
@@ -66,7 +51,31 @@ use owl::workloads::render::GlyphRender;
 use owl::workloads::rsa::{RsaLadder, RsaSquareMultiply};
 use owl::workloads::search::{BinarySearchEarlyExit, BinarySearchFixedDepth};
 use owl::workloads::torch::{Tensor, TorchFunction, TorchInput, TorchOpKind};
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// The usage text: `--help` prints it to stdout, a usage error to stderr.
+const USAGE: &str = "\
+usage: owl-detect <workload> [--runs N] [--alpha F] [--engine ks|tvla|mi]
+                  [--compare-engines] [--aslr SEED]
+                  [--parallelism N] [--retries N] [--min-runs N]
+                  [--max-instructions N] [--max-mem-events N]
+                  [--max-allocations N] [--max-evidence-bytes N]
+                  [--deadline-ms N]
+                  [--inject transient|quarantine|panic|budget|deadline]
+                  [--format text|json] [--metrics-out PATH]
+       owl-detect --help
+
+workloads:
+  aes-ttable | aes-scan | rsa-sqm | rsa-ladder
+  torch:<relu|sigmoid|tanh|softmax|maxpool2d|avgpool2d|conv2d|linear|
+         mseloss|nllloss|crossentropy|repr|embedding|layernorm>
+  jpeg-encode | jpeg-decode | jpeg-encode-fixed
+  dummy[:<threads>] | noise | histogram | histogram-oblivious
+  search | search-fixed | mlp | coalescing | render | runaway
+
+exit codes: 0 = clean, 2 = leaky, 3 = inconclusive, 1 = usage or runtime error";
 
 /// How the detection result is rendered on stdout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,9 +177,13 @@ impl Options {
     }
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the command line; `Ok(None)` when `--help` or `-h` was given.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut args = std::env::args().skip(1);
     let workload = args.next().ok_or("missing workload name")?;
+    if workload == "--help" || workload == "-h" {
+        return Ok(None);
+    }
     let mut opts = Options {
         workload,
         runs: 60,
@@ -210,8 +223,6 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or_else(|| format!("unknown engine {name} (expected ks|tvla|mi)"))?;
             }
             "--compare-engines" => opts.compare_engines = true,
-            // Deprecated alias for --engine tvla.
-            "--welch" => opts.engine = Engine::Tvla,
             "--aslr" => {
                 opts.aslr_seed = Some(
                     args.next()
@@ -292,10 +303,11 @@ fn parse_args() -> Result<Options, String> {
             "--metrics-out" => {
                 opts.metrics_out = Some(args.next().ok_or("--metrics-out needs a path")?);
             }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown option {other}")),
         }
     }
-    Ok(opts)
+    Ok(Some(opts))
 }
 
 fn run_detection<P>(
@@ -334,98 +346,120 @@ fn verdict_exit_code(verdict: Verdict) -> ExitCode {
     }
 }
 
+/// Writes `--metrics-out` first, then the summary to stdout, and returns
+/// the verdict's exit code. Metrics go first so that a reader closing
+/// stdout early cannot lose them; a closed stdout (`| head`) is not an
+/// error.
 fn report<I>(name: &str, detection: &Detection<I>, opts: &Options) -> Result<ExitCode, String> {
     let config = opts.config();
-    match opts.format {
-        OutputFormat::Json => {
-            let summary = DetectionSummary::new(name, detection, &config);
-            let json = serde_json::to_string_pretty(&summary)
-                .map_err(|e| format!("serializing summary: {e}"))?;
-            println!("{json}");
-        }
-        OutputFormat::Text => {
-            println!("workload: {name}");
-            println!("verdict: {:?}", detection.verdict);
-            println!(
-                "classes: {} | traces for evidence: {} | total {:?}",
-                detection.filter.classes.len(),
-                detection.stats.evidence_traces,
-                detection.stats.total_time
-            );
-            let c = &detection.counters;
-            println!(
-                "executed: {} instructions, {} branches ({} divergence, {} reconvergence), \
-                 {} mem accesses ({} transactions, {} bank-conflict cycles)",
-                c.instructions,
-                c.branches,
-                c.divergence_events,
-                c.reconvergences,
-                c.mem_accesses,
-                c.mem_transactions,
-                c.bank_conflicts
-            );
-            let fc = &detection.fault_counters;
-            if !detection.faults.is_empty() || !fc.is_zero() {
-                println!(
-                    "faults: {} run(s) quarantined, {} retried, {} panic(s) caught",
-                    fc.total_quarantined(),
-                    fc.trace_collection.retried + fc.evidence.retried + fc.analysis.retried,
-                    fc.trace_collection.panics + fc.evidence.panics + fc.analysis.panics
-                );
-                for record in detection.faults.iter().take(8) {
-                    println!("  {}", record.to_error());
-                }
-                if detection.faults.len() > 8 {
-                    println!(
-                        "  … {} more (see --format json)",
-                        detection.faults.len() - 8
-                    );
-                }
-            }
-            print!("{}", detection.report);
-            if let Some(cmp) = &detection.engine_comparison {
-                println!(
-                    "engine comparison ({}): {} location(s), {} agreed, {} split",
-                    cmp.engines.join("/"),
-                    cmp.rows.len(),
-                    cmp.agreements,
-                    cmp.disagreements
-                );
-                for (engine, leaks) in cmp.engines.iter().zip(&cmp.leaks_per_engine) {
-                    println!("  {engine}: {leaks} leak(s)");
-                }
-                for row in &cmp.rows {
-                    let verdicts: Vec<String> = row
-                        .verdicts
-                        .iter()
-                        .map(|v| {
-                            let mark = if v.flagged { "leak" } else { "clean" };
-                            match v.bits {
-                                Some(bits) if v.flagged => {
-                                    format!("{}={mark} ({bits:.3} bits)", v.engine)
-                                }
-                                _ => format!("{}={mark}", v.engine),
-                            }
-                        })
-                        .collect();
-                    println!(
-                        "  [{}] {:?} {}: {}",
-                        if row.agreed { "agree" } else { "split" },
-                        row.kind,
-                        row.location,
-                        verdicts.join(", ")
-                    );
-                }
-            }
-        }
-    }
     if let Some(path) = &opts.metrics_out {
         let metrics = MetricsReport::new(name, detection, &config);
         let json = serde_json::to_string_pretty(&metrics)
             .map_err(|e| format!("serializing metrics: {e}"))?;
         std::fs::write(path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
     }
-    Ok(verdict_exit_code(detection.verdict))
+    let rendered = match opts.format {
+        OutputFormat::Json => {
+            let summary = DetectionSummary::new(name, detection, &config);
+            serde_json::to_string_pretty(&summary)
+                .map_err(|e| format!("serializing summary: {e}"))?
+                + "\n"
+        }
+        OutputFormat::Text => render_text(name, detection).map_err(|e| e.to_string())?,
+    };
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(rendered.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+        _ => Ok(verdict_exit_code(detection.verdict)),
+    }
+}
+
+/// The human-readable report.
+fn render_text<I>(name: &str, detection: &Detection<I>) -> Result<String, std::fmt::Error> {
+    let mut out = String::new();
+    writeln!(out, "workload: {name}")?;
+    writeln!(out, "verdict: {:?}", detection.verdict)?;
+    writeln!(
+        out,
+        "classes: {} | traces for evidence: {} | total {:?}",
+        detection.filter.classes.len(),
+        detection.stats.evidence_traces,
+        detection.stats.total_time
+    )?;
+    let c = &detection.counters;
+    writeln!(
+        out,
+        "executed: {} instructions, {} branches ({} divergence, {} reconvergence), \
+         {} mem accesses ({} transactions, {} bank-conflict cycles)",
+        c.instructions,
+        c.branches,
+        c.divergence_events,
+        c.reconvergences,
+        c.mem_accesses,
+        c.mem_transactions,
+        c.bank_conflicts
+    )?;
+    let fc = &detection.fault_counters;
+    if !detection.faults.is_empty() || !fc.is_zero() {
+        writeln!(
+            out,
+            "faults: {} run(s) quarantined, {} retried, {} panic(s) caught",
+            fc.total_quarantined(),
+            fc.trace_collection.retried + fc.evidence.retried + fc.analysis.retried,
+            fc.trace_collection.panics + fc.evidence.panics + fc.analysis.panics
+        )?;
+        for record in detection.faults.iter().take(8) {
+            writeln!(out, "  {}", record.to_error())?;
+        }
+        if detection.faults.len() > 8 {
+            writeln!(
+                out,
+                "  … {} more (see --format json)",
+                detection.faults.len() - 8
+            )?;
+        }
+    }
+    write!(out, "{}", detection.report)?;
+    if let Some(cmp) = &detection.engine_comparison {
+        writeln!(
+            out,
+            "engine comparison ({}): {} location(s), {} agreed, {} split",
+            cmp.engines.join("/"),
+            cmp.rows.len(),
+            cmp.agreements,
+            cmp.disagreements
+        )?;
+        for (engine, leaks) in cmp.engines.iter().zip(&cmp.leaks_per_engine) {
+            writeln!(out, "  {engine}: {leaks} leak(s)")?;
+        }
+        for row in &cmp.rows {
+            let verdicts: Vec<String> = row
+                .verdicts
+                .iter()
+                .map(|v| {
+                    let mark = if v.flagged { "leak" } else { "clean" };
+                    match v.bits {
+                        Some(bits) if v.flagged => {
+                            format!("{}={mark} ({bits:.3} bits)", v.engine)
+                        }
+                        _ => format!("{}={mark}", v.engine),
+                    }
+                })
+                .collect();
+            writeln!(
+                out,
+                "  [{}] {:?} {}: {}",
+                if row.agreed { "agree" } else { "split" },
+                row.kind,
+                row.location,
+                verdicts.join(", ")
+            )?;
+        }
+    }
+    Ok(out)
 }
 
 fn torch_kind(name: &str) -> Option<TorchOpKind> {
@@ -553,17 +587,15 @@ fn dispatch(opts: &Options) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let opts = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            // A closed stdout is no reason to fail `--help`.
+            let _ = writeln!(std::io::stdout(), "{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: owl-detect <workload> [--runs N] [--alpha F] [--engine ks|tvla|mi] \
-                 [--compare-engines] [--aslr SEED] [--parallelism N] [--retries N] [--min-runs N] \
-                 [--max-instructions N] [--max-mem-events N] [--max-allocations N] \
-                 [--max-evidence-bytes N] [--deadline-ms N] \
-                 [--inject transient|quarantine|panic|budget|deadline] [--format text|json] \
-                 [--metrics-out PATH]"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::from(1);
         }
     };

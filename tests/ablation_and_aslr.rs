@@ -2,8 +2,8 @@
 //! end-to-end detection under simulated device ASLR.
 
 use owl::core::{
-    detect, leakage_test, AnalysisConfig, Evidence, InvocationKey, KernelInvocation, LeakKind,
-    OwlConfig, ProgramTrace, TestMethod, Verdict,
+    detect, leakage_test, AnalysisConfig, Engine, Evidence, InvocationKey, KernelInvocation,
+    LeakKind, OwlConfig, ProgramTrace, Verdict,
 };
 use owl::dcfg::AdcfgBuilder;
 use owl::host::CallSite;
@@ -47,7 +47,7 @@ fn ks_catches_equal_mean_distribution_change_welch_misses() {
         &fix,
         &rnd,
         &AnalysisConfig {
-            method: TestMethod::Ks,
+            method: Engine::Ks,
             ..AnalysisConfig::default()
         },
     );
@@ -57,7 +57,7 @@ fn ks_catches_equal_mean_distribution_change_welch_misses() {
         &fix,
         &rnd,
         &AnalysisConfig {
-            method: TestMethod::Welch,
+            method: Engine::Tvla,
             ..AnalysisConfig::default()
         },
     );
@@ -76,7 +76,7 @@ fn welch_still_catches_mean_shifts() {
         &fix,
         &rnd,
         &AnalysisConfig {
-            method: TestMethod::Welch,
+            method: Engine::Tvla,
             ..AnalysisConfig::default()
         },
     );
@@ -95,7 +95,7 @@ fn welch_method_detects_aes_end_to_end() {
         &keys,
         &OwlConfig {
             runs: 40,
-            method: TestMethod::Welch,
+            method: Engine::Tvla,
             ..OwlConfig::default()
         },
     )

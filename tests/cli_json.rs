@@ -4,7 +4,7 @@
 //! is byte-identical across `--parallelism` settings, and `--metrics-out`
 //! captures the wall-clock side in a separate file.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn owl_detect(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_owl-detect"))
@@ -211,15 +211,6 @@ fn engine_flag_selects_the_engine_and_keeps_exit_codes() {
         assert_eq!(get(&value, "verdict").as_str(), Some("leaky"));
         assert_eq!(get(get(&value, "config"), "engine").as_str(), Some(echoed));
     }
-}
-
-#[test]
-fn welch_flag_is_a_deprecated_alias_for_the_tvla_engine() {
-    let out = owl_detect(&["dummy", "--runs", "8", "--welch", "--format", "json"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let value: serde_json::Value = serde_json::from_str(&stdout).expect("stdout parses as JSON");
-    assert_eq!(get(get(&value, "config"), "engine").as_str(), Some("tvla"));
 }
 
 #[test]
@@ -440,4 +431,44 @@ fn metrics_out_writes_wall_clock_report() {
         matches!(get(stats, "total_ms"), serde_json::Value::Float(ms) if *ms >= 0.0),
         "wall-clock totals live in the metrics file"
     );
+}
+
+#[test]
+fn closed_stdout_keeps_the_exit_code_and_the_metrics_file() {
+    let dir = std::env::temp_dir().join("owl-cli-json-epipe");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("metrics.json");
+    let _ = std::fs::remove_file(&path);
+    let path_str = path.to_str().expect("utf8 path");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_owl-detect"))
+        .args(["aes-ttable", "--runs", "10", "--format", "json"])
+        .args(["--metrics-out", path_str])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn owl-detect");
+    // Close the reading end before the summary is written, as `| head`
+    // does once it has its lines.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for owl-detect");
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "the verdict still sets the code"
+    );
+    assert!(path.exists(), "metrics are written before stdout");
+}
+
+#[test]
+fn help_prints_usage_to_stdout_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = owl_detect(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+        assert!(stdout.starts_with("usage: owl-detect"), "{flag}: {stdout}");
+        assert!(stdout.contains("aes-ttable"), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag}");
+    }
 }

@@ -11,8 +11,8 @@
 //! perturbations.
 
 use owl::core::{
-    detect, record_run_with_interpreter, Engine, FaultPlan, FaultyProgram, InjectedFault, LeakKind,
-    OwlConfig, RetryPolicy, RunSpec, TracedProgram, Verdict, STREAM_RND,
+    detect, Engine, FaultPlan, FaultyProgram, InjectedFault, LeakKind, OwlConfig, Recorder,
+    RetryPolicy, RunSpec, TracedProgram, Verdict, STREAM_RND,
 };
 use owl::gpu::build::KernelBuilder;
 use owl::gpu::exec::Interpreter;
@@ -363,7 +363,7 @@ fn comparison_mode_agrees_on_ground_truth_probes() {
     let cfg = OwlConfig::builder()
         .runs(RUNS)
         .parallelism(2)
-        .engines_all()
+        .compare_engines(true)
         .build();
     let leaky = detect(&FuzzHarness::new(SEED_BASE, true), &INPUTS, &cfg).expect("detect");
     assert_eq!(leaky.verdict, Verdict::Leaky);
@@ -394,7 +394,7 @@ fn comparison_mode_agrees_on_ground_truth_probes() {
         &OwlConfig::builder()
             .runs(RUNS)
             .parallelism(1)
-            .engines_all()
+            .compare_engines(true)
             .build(),
     )
     .expect("detect");
@@ -404,7 +404,7 @@ fn comparison_mode_agrees_on_ground_truth_probes() {
     let clean_cfg = OwlConfig::builder()
         .runs(RUNS)
         .parallelism(2)
-        .engines_all()
+        .compare_engines(true)
         .force_analysis(true)
         .build();
     let clean = detect(&FuzzHarness::new(SEED_BASE, false), &INPUTS, &clean_cfg).expect("detect");
@@ -427,13 +427,19 @@ fn harness_recording_agrees_across_interpreters() {
         run_index: 0,
         attempt: 0,
     };
+    let record = |interpreter, secret| {
+        Recorder {
+            interpreter,
+            ..Recorder::default()
+        }
+        .record(&program, &secret, &spec)
+        .result
+    };
     for secret in INPUTS {
         let (fast, fast_counters) =
-            record_run_with_interpreter(&program, &secret, &spec, Interpreter::Lowered)
-                .expect("lowered recording");
+            record(Interpreter::Lowered, secret).expect("lowered recording");
         let (oracle, oracle_counters) =
-            record_run_with_interpreter(&program, &secret, &spec, Interpreter::Oracle)
-                .expect("oracle recording");
+            record(Interpreter::Oracle, secret).expect("oracle recording");
         assert_eq!(fast, oracle);
         assert_eq!(fast.digest(), oracle.digest());
         assert_eq!(fast_counters, oracle_counters);

@@ -12,7 +12,7 @@
 //! The digests must also be interpreter-independent: the reference oracle
 //! (`owl_gpu::oracle`) has to reproduce them bit for bit.
 
-use owl::core::{record_run_with_interpreter, RunSpec, TracedProgram};
+use owl::core::{Recorder, RunSpec, TracedProgram};
 use owl::gpu::exec::Interpreter;
 use owl::workloads::aes::AesTTable;
 use owl::workloads::histogram::HistogramDirect;
@@ -26,8 +26,21 @@ const SPEC: RunSpec = RunSpec {
     attempt: 0,
 };
 
+fn record<P: TracedProgram>(
+    program: &P,
+    input: &P::Input,
+    interpreter: Interpreter,
+) -> owl::core::RunAttempt {
+    Recorder {
+        interpreter,
+        ..Recorder::default()
+    }
+    .record(program, input, &SPEC)
+}
+
 fn pinned_digest<P: TracedProgram>(program: &P, input: &P::Input, expected: u64) {
-    let (trace, _) = record_run_with_interpreter(program, input, &SPEC, Interpreter::Lowered)
+    let (trace, _) = record(program, input, Interpreter::Lowered)
+        .result
         .expect("recording succeeds");
     assert_eq!(
         trace.digest(),
@@ -37,7 +50,8 @@ fn pinned_digest<P: TracedProgram>(program: &P, input: &P::Input, expected: u64)
          hashing). If intentional, update the pin in this test.",
         program.name()
     );
-    let (oracle_trace, _) = record_run_with_interpreter(program, input, &SPEC, Interpreter::Oracle)
+    let (oracle_trace, _) = record(program, input, Interpreter::Oracle)
+        .result
         .expect("oracle recording succeeds");
     assert_eq!(
         oracle_trace.digest(),
