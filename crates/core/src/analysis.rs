@@ -18,13 +18,14 @@
 //! attributed to non-deterministic execution noise and *not* reported —
 //! this is the paper's false-positive defence.
 
-use crate::engine::{AnalysisEngine, Engine};
+use crate::engine::Engine;
 use crate::evidence::Evidence;
-use crate::report::{Leak, LeakKind, LeakLocation, LeakReport};
+use crate::report::{keep_strongest, Leak, LeakKind, LeakLocation, LeakReport};
 use owl_dcfg::diff::{myers_align, AlignOp};
+use owl_dcfg::Node;
 use owl_stats::mi::class_mi_bits;
 use owl_stats::{EngineOutcome, Histogram, WeightedSamples};
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
 /// Parameters of the analysis phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,10 +46,35 @@ impl Default for AnalysisConfig {
     }
 }
 
-/// The engine's own severity estimate when it quantifies, otherwise an
-/// independent MI estimate — computed lazily, only for rejected features.
-fn severity_bits(out: &EngineOutcome, fs: &WeightedSamples, rs: &WeightedSamples) -> f64 {
-    out.bits.unwrap_or_else(|| class_mi_bits(fs, rs))
+/// A rejecting comparison, kept with the samples it was made on so that
+/// the severity is computed only for the feature that is reported.
+struct Rejection {
+    out: EngineOutcome,
+    fix: WeightedSamples,
+    rnd: WeightedSamples,
+}
+
+impl Rejection {
+    fn test(config: &AnalysisConfig, fix: WeightedSamples, rnd: WeightedSamples) -> Option<Self> {
+        let out = config.method.compare(config.alpha, &fix, &rnd);
+        out.rejected.then_some(Rejection { out, fix, rnd })
+    }
+
+    fn into_leak(self, kind: LeakKind, location: LeakLocation, detail: String) -> Leak {
+        Leak {
+            kind,
+            location,
+            statistic: self.out.statistic,
+            p_value: self.out.p_value,
+            // The engine's own severity estimate when it quantifies,
+            // otherwise an independent MI estimate.
+            severity_bits: self
+                .out
+                .bits
+                .unwrap_or_else(|| class_mi_bits(&self.fix, &self.rnd)),
+            detail,
+        }
+    }
 }
 
 /// A structural (non-statistical) leak: maximal deviation by construction.
@@ -63,29 +89,13 @@ fn structural(kind: LeakKind, location: LeakLocation, detail: String) -> Leak {
     }
 }
 
-/// Runs the full leakage test of §VII-C once per engine in `engines` and
-/// returns the per-engine reports in that order. The evidence is shared;
-/// only the phase-3 decision point differs between entries.
-pub fn engine_reports(
-    fix: &Evidence,
-    rnd: &Evidence,
-    alpha: f64,
-    engines: &[Engine],
-) -> Vec<(Engine, LeakReport)> {
-    engines
-        .iter()
-        .map(|&method| {
-            (
-                method,
-                leakage_test(fix, rnd, &AnalysisConfig { alpha, method }),
-            )
-        })
-        .collect()
-}
-
 /// Runs the full leakage test of §VII-C.
+///
+/// The walk pushes leaks in walk order — allocations, then each aligned
+/// invocation with its nodes and instructions in ascending order — and
+/// deduplicates them by location once at the end, with the rule of
+/// [`LeakReport::merge`].
 pub fn leakage_test(fix: &Evidence, rnd: &Evidence, config: &AnalysisConfig) -> LeakReport {
-    let engine = config.method.build(config.alpha);
     let mut report = LeakReport::default();
 
     test_mallocs(fix, rnd, &mut report);
@@ -94,53 +104,25 @@ pub fn leakage_test(fix: &Evidence, rnd: &Evidence, config: &AnalysisConfig) -> 
     let fix_keys: Vec<_> = fix.invocations.iter().map(|i| &i.key).collect();
     let rnd_keys: Vec<_> = rnd.invocations.iter().map(|i| &i.key).collect();
     let ops = myers_align(&fix_keys, &rnd_keys);
+    report.tested_invocations = ops.len();
 
-    let mut dedup = LeakReport::default();
     for op in ops {
         match op {
-            AlignOp::DeleteA(i) => {
-                report.tested_invocations += 1;
-                dedup.merge(&LeakReport {
-                    leaks: vec![structural(
-                        LeakKind::Kernel,
-                        LeakLocation::Invocation(fix.invocations[i].key.clone()),
-                        "kernel invoked under fixed inputs but not under random inputs".into(),
-                    )],
-                    ..Default::default()
-                });
-            }
-            AlignOp::InsertB(j) => {
-                report.tested_invocations += 1;
-                dedup.merge(&LeakReport {
-                    leaks: vec![structural(
-                        LeakKind::Kernel,
-                        LeakLocation::Invocation(rnd.invocations[j].key.clone()),
-                        "kernel invoked under random inputs but not under fixed inputs".into(),
-                    )],
-                    ..Default::default()
-                });
-            }
-            AlignOp::Match(i, j) => {
-                report.tested_invocations += 1;
-                let mut partial = LeakReport::default();
-                test_matched_invocation(fix, i, rnd, j, &*engine, &mut partial);
-                report.tested_nodes += partial.tested_nodes;
-                report.tested_instructions += partial.tested_instructions;
-                partial.tested_nodes = 0;
-                partial.tested_instructions = 0;
-                dedup.merge(&partial);
-            }
+            AlignOp::DeleteA(i) => report.leaks.push(structural(
+                LeakKind::Kernel,
+                LeakLocation::Invocation(fix.invocations[i].key.clone()),
+                "kernel invoked under fixed inputs but not under random inputs".into(),
+            )),
+            AlignOp::InsertB(j) => report.leaks.push(structural(
+                LeakKind::Kernel,
+                LeakLocation::Invocation(rnd.invocations[j].key.clone()),
+                "kernel invoked under random inputs but not under fixed inputs".into(),
+            )),
+            AlignOp::Match(i, j) => test_matched_invocation(fix, i, rnd, j, config, &mut report),
         }
     }
-    let tested = (
-        report.tested_invocations,
-        report.tested_nodes,
-        report.tested_instructions,
-    );
-    report.merge(&dedup);
-    report.tested_invocations = tested.0;
-    report.tested_nodes = tested.1;
-    report.tested_instructions = tested.2;
+    let walk = std::mem::take(&mut report.leaks);
+    keep_strongest(&mut report.leaks, walk);
     report
 }
 
@@ -148,10 +130,9 @@ fn test_mallocs(fix: &Evidence, rnd: &Evidence, report: &mut LeakReport) {
     if fix.runs == 0 || rnd.runs == 0 {
         return;
     }
-    let keys: BTreeSet<_> = fix.mallocs.keys().chain(rnd.mallocs.keys()).collect();
-    for m in keys {
-        let f = fix.mallocs.get(m).copied().unwrap_or(0) as f64 / fix.runs as f64;
-        let r = rnd.mallocs.get(m).copied().unwrap_or(0) as f64 / rnd.runs as f64;
+    for (m, f, r) in merge_join(&fix.mallocs, &rnd.mallocs) {
+        let f = f.copied().unwrap_or(0) as f64 / fix.runs as f64;
+        let r = r.copied().unwrap_or(0) as f64 / rnd.runs as f64;
         if (f - r).abs() > f64::EPSILON {
             report.leaks.push(structural(
                 LeakKind::Kernel,
@@ -170,12 +151,12 @@ fn test_matched_invocation(
     i: usize,
     rnd: &Evidence,
     j: usize,
-    engine: &dyn AnalysisEngine,
+    config: &AnalysisConfig,
     report: &mut LeakReport,
 ) {
     let fi = &fix.invocations[i];
     let rj = &rnd.invocations[j];
-    let key = fi.key.clone();
+    let key = &fi.key;
 
     // Launch geometry must not depend on the secret.
     if fi.configs != rj.configs {
@@ -190,141 +171,120 @@ fn test_matched_invocation(
     // presence gaps at aligned positions).
     let fp = presence_samples(fi.present_runs, fix.runs);
     let rp = presence_samples(rj.present_runs, rnd.runs);
-    let out = engine.compare(&fp, &rp);
-    if out.rejected {
-        report.leaks.push(Leak {
-            kind: LeakKind::Kernel,
-            location: LeakLocation::Invocation(key.clone()),
-            statistic: out.statistic,
-            p_value: out.p_value,
-            severity_bits: severity_bits(&out, &fp, &rp),
-            detail: format!(
+    if let Some(rejection) = Rejection::test(config, fp, rp) {
+        report.leaks.push(rejection.into_leak(
+            LeakKind::Kernel,
+            LeakLocation::Invocation(key.clone()),
+            format!(
                 "invocation present in {}/{} fixed vs {}/{} random runs",
                 fi.present_runs, fix.runs, rj.present_runs, rnd.runs
             ),
-        });
+        ));
     }
 
     // Device control-flow test: per node, per eq. (8), the flattened
     // transition matrix histograms.
-    let nodes: BTreeSet<u32> = fi
-        .adcfg
-        .nodes
-        .keys()
-        .chain(rj.adcfg.nodes.keys())
-        .copied()
-        .collect();
-    for bb in nodes {
+    let transitions = |n: Option<&Node>| n.map(|n| n.transitions.to_samples()).unwrap_or_default();
+    for (&bb, fnode, rnode) in merge_join(&fi.adcfg.nodes, &rj.adcfg.nodes) {
         report.tested_nodes += 1;
-        let fs = node_transition_samples(&fi.adcfg, bb);
-        let rs = node_transition_samples(&rj.adcfg, bb);
-        let out = engine.compare(&fs, &rs);
-        if out.rejected {
-            report.leaks.push(Leak {
-                kind: LeakKind::ControlFlow,
-                location: LeakLocation::Block(key.clone(), bb),
-                statistic: out.statistic,
-                p_value: out.p_value,
-                severity_bits: severity_bits(&out, &fs, &rs),
-                detail: "control-flow transition distribution differs".into(),
-            });
+        if let Some(rejection) = Rejection::test(config, transitions(fnode), transitions(rnode)) {
+            report.leaks.push(rejection.into_leak(
+                LeakKind::ControlFlow,
+                LeakLocation::Block(key.clone(), bb),
+                "control-flow transition distribution differs".into(),
+            ));
         }
 
         // Device data-flow test: per instruction, per visit ordinal.
-        let (fnode, rnode) = (fi.adcfg.node(bb), rj.adcfg.node(bb));
-        let insts: BTreeSet<u32> = fnode
-            .map(|n| n.mem.keys().copied().collect::<BTreeSet<_>>())
-            .unwrap_or_default()
-            .union(
-                &rnode
-                    .map(|n| n.mem.keys().copied().collect())
-                    .unwrap_or_default(),
-            )
-            .copied()
-            .collect();
-        for inst in insts {
+        for (&inst, fvisits, rvisits) in merge_join(
+            fnode.into_iter().flat_map(|n| &n.mem),
+            rnode.into_iter().flat_map(|n| &n.mem),
+        ) {
             report.tested_instructions += 1;
-            let fvisits = fnode.and_then(|n| n.mem.get(&inst));
-            let rvisits = rnode.and_then(|n| n.mem.get(&inst));
-            match (fvisits, rvisits) {
-                (Some(fv), Some(rv)) => {
-                    // Pair visit ordinals in access order; surplus ordinals
-                    // stem from control flow and are covered by the
-                    // transition test above.
-                    let mut worst: Option<(f64, f64, f64, u32)> = None;
-                    for (jj, (fh, rh)) in fv.iter().zip(rv.iter()).enumerate() {
-                        let (fs, rs) = (fh.to_samples(), rh.to_samples());
-                        let out = engine.compare(&fs, &rs);
-                        if out.rejected && worst.map(|(_, p, _, _)| out.p_value < p).unwrap_or(true)
-                        {
-                            worst = Some((
-                                out.statistic,
-                                out.p_value,
-                                severity_bits(&out, &fs, &rs),
-                                jj as u32,
-                            ));
-                        }
-                    }
-                    if let Some((d, p, bits, jj)) = worst {
-                        report.leaks.push(Leak {
-                            kind: LeakKind::DataFlow,
-                            location: LeakLocation::Instruction(key.clone(), bb, inst),
-                            statistic: d,
-                            p_value: p,
-                            severity_bits: bits,
-                            detail: format!("address distribution differs at visit {jj}"),
-                        });
-                    }
-                    // The per-warp access-cost feature (coalesced
-                    // transactions / bank conflicts): warp aggregation of
-                    // addresses can hide per-event grouping that this
-                    // catches.
-                    let fcost = fnode.and_then(|n| n.cost.get(&inst));
-                    let rcost = rnode.and_then(|n| n.cost.get(&inst));
-                    if let (Some(fc), Some(rc)) = (fcost, rcost) {
-                        let mut worst: Option<(f64, f64, f64, u32)> = None;
-                        for (jj, (fh, rh)) in fc.iter().zip(rc.iter()).enumerate() {
-                            let (fs, rs) = (fh.to_samples(), rh.to_samples());
-                            let out = engine.compare(&fs, &rs);
-                            if out.rejected
-                                && worst.map(|(_, p, _, _)| out.p_value < p).unwrap_or(true)
-                            {
-                                worst = Some((
-                                    out.statistic,
-                                    out.p_value,
-                                    severity_bits(&out, &fs, &rs),
-                                    jj as u32,
-                                ));
-                            }
-                        }
-                        if let Some((d, p, bits, jj)) = worst {
-                            report.leaks.push(Leak {
-                                kind: LeakKind::DataFlow,
-                                location: LeakLocation::Instruction(key.clone(), bb, inst),
-                                statistic: d,
-                                p_value: p,
-                                severity_bits: bits,
-                                detail: format!(
-                                    "memory transaction cost distribution differs at visit {jj}"
-                                ),
-                            });
-                        }
-                    }
-                }
-                (Some(_), None) | (None, Some(_)) => {
-                    // The access executed only under one input class —
-                    // with identical control flow this is predication, a
-                    // data-dependent access pattern.
-                    report.leaks.push(structural(
+            let location = || LeakLocation::Instruction(key.clone(), bb, inst);
+            let (Some(fv), Some(rv)) = (fvisits, rvisits) else {
+                // The access executed only under one input class — with
+                // identical control flow this is predication, a
+                // data-dependent access pattern.
+                report.leaks.push(structural(
+                    LeakKind::DataFlow,
+                    location(),
+                    "memory access executes only under one input class".into(),
+                ));
+                continue;
+            };
+            if let Some((jj, rejection)) = worst_visit(config, fv, rv) {
+                report.leaks.push(rejection.into_leak(
+                    LeakKind::DataFlow,
+                    location(),
+                    format!("address distribution differs at visit {jj}"),
+                ));
+            }
+            // The per-warp access-cost feature (coalesced transactions /
+            // bank conflicts): warp aggregation of addresses can hide
+            // per-event grouping that this catches.
+            let fcost = fnode.and_then(|n| n.cost.get(&inst));
+            let rcost = rnode.and_then(|n| n.cost.get(&inst));
+            if let (Some(fc), Some(rc)) = (fcost, rcost) {
+                if let Some((jj, rejection)) = worst_visit(config, fc, rc) {
+                    report.leaks.push(rejection.into_leak(
                         LeakKind::DataFlow,
-                        LeakLocation::Instruction(key.clone(), bb, inst),
-                        "memory access executes only under one input class".into(),
+                        location(),
+                        format!("memory transaction cost distribution differs at visit {jj}"),
                     ));
                 }
-                (None, None) => {}
             }
         }
     }
+}
+
+/// The strongest rejection among one instruction's per-visit histograms,
+/// with its visit ordinal; the first visit wins ties. Ordinals pair in
+/// access order; surplus ordinals stem from control flow and are covered
+/// by the transition test.
+fn worst_visit(
+    config: &AnalysisConfig,
+    fix: &[Histogram],
+    rnd: &[Histogram],
+) -> Option<(usize, Rejection)> {
+    let mut worst: Option<(usize, Rejection)> = None;
+    for (jj, (fh, rh)) in fix.iter().zip(rnd).enumerate() {
+        if let Some(rejection) = Rejection::test(config, fh.to_samples(), rh.to_samples()) {
+            if worst
+                .as_ref()
+                .is_none_or(|(_, w)| rejection.out.p_value < w.out.p_value)
+            {
+                worst = Some((jj, rejection));
+            }
+        }
+    }
+    worst
+}
+
+/// Walks the union of two ascending, duplicate-free key sequences (such as
+/// two `BTreeMap`s) in ascending key order, pairing each key with its
+/// value on either side.
+fn merge_join<K: Ord, V>(
+    fix: impl IntoIterator<Item = (K, V)>,
+    rnd: impl IntoIterator<Item = (K, V)>,
+) -> impl Iterator<Item = (K, Option<V>, Option<V>)> {
+    let (mut fix, mut rnd) = (fix.into_iter().peekable(), rnd.into_iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (fix.peek(), rnd.peek()) {
+            (Some((f, _)), Some((r, _))) => f.cmp(r),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return None,
+        };
+        Some(match order {
+            Ordering::Less => fix.next().map(|(k, f)| (k, Some(f), None))?,
+            Ordering::Greater => rnd.next().map(|(k, r)| (k, None, Some(r)))?,
+            Ordering::Equal => {
+                let ((k, f), (_, r)) = (fix.next()?, rnd.next()?);
+                (k, Some(f), Some(r))
+            }
+        })
+    })
 }
 
 fn presence_samples(present: u64, runs: u64) -> WeightedSamples {
@@ -332,12 +292,6 @@ fn presence_samples(present: u64, runs: u64) -> WeightedSamples {
     h.record(1, present);
     h.record(0, runs.saturating_sub(present));
     h.to_samples()
-}
-
-fn node_transition_samples(g: &owl_dcfg::Adcfg, bb: u32) -> WeightedSamples {
-    g.node(bb)
-        .map(|n| n.transitions.to_samples())
-        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -500,6 +454,31 @@ mod tests {
             .leaks
             .iter()
             .any(|l| matches!(l.location, LeakLocation::Alloc(_))));
+
+        // Two sizes differing at one call site are one leak location.
+        let alloc = |size| crate::trace::MallocRecord {
+            call_site: CallSite {
+                file: "f.rs",
+                line: 7,
+                column: 1,
+            },
+            size,
+        };
+        let with_malloc = |size| {
+            let mut t = trace_walk_addr(&[0], 0x40);
+            t.mallocs.push(alloc(size));
+            t
+        };
+        let fix = Evidence::from_traces((0..20).map(|_| with_malloc(64)));
+        let rnd =
+            Evidence::from_traces((0..20).map(|r| with_malloc(if r % 2 == 0 { 64 } else { 128 })));
+        let report = leakage_test(&fix, &rnd, &AnalysisConfig::default());
+        let allocs = report
+            .leaks
+            .iter()
+            .filter(|l| matches!(l.location, LeakLocation::Alloc(_)))
+            .count();
+        assert_eq!(allocs, 1, "{report}");
     }
 
     #[test]

@@ -1,27 +1,28 @@
-//! Pluggable analysis engines (DESIGN.md §3.15).
+//! Analysis engines (DESIGN.md §3.15).
 //!
 //! Phase 3 decides, feature by feature, whether a distribution observed
 //! under fixed inputs differs from the one observed under random inputs.
-//! That per-feature decision point is the [`AnalysisEngine`] trait; the
-//! analysis walk in [`crate::analysis`] is engine-agnostic and the choice
-//! of statistics is a configuration knob:
+//! That per-feature decision point is [`Engine::compare`]; the analysis
+//! walk in [`crate::analysis`] is engine-agnostic and the choice of
+//! statistics is a configuration knob:
 //!
-//! * [`KsEngine`] — the paper's two-sample Kolmogorov–Smirnov test
+//! * [`Engine::Ks`] — the paper's two-sample Kolmogorov–Smirnov test
 //!   (§VII-B, eqs. (1)–(4)). The default; no normality assumption.
-//! * [`TvlaEngine`] — fixed-vs-random TVLA: Welch's t-test with the
+//! * [`Engine::Tvla`] — fixed-vs-random TVLA: Welch's t-test with the
 //!   conventional `|t| > 4.5` decision threshold, as used by prior CPU
 //!   side-channel work (TVLA, dudect). Mean-blind: misses equal-mean
 //!   distribution changes, which is the paper's motivation for KS.
-//! * [`MiEngine`] — MicroWalk-style leakage *quantification*: the mutual
+//! * [`Engine::Mi`] — MicroWalk-style leakage *quantification*: the mutual
 //!   information between the input class and the feature, in bits per
 //!   observation. Reports *how much* leaks, not just whether.
 //!
-//! Engines are pure functions of their two [`WeightedSamples`] arguments —
-//! no interior state, no randomness — so detection keeps the determinism
-//! contract (bit-identical results for every `parallelism`) independently
-//! of the engine choice. The [`EngineComparison`] table cross-checks all
-//! engines' verdicts per leak location, DifFuzz-style: agreement raises
-//! confidence, disagreement localises the cases one method is blind to.
+//! Every engine is a pure function of its two [`WeightedSamples`]
+//! arguments — no interior state, no randomness — so detection keeps the
+//! determinism contract (bit-identical results for every `parallelism`)
+//! independently of the engine choice. The [`EngineComparison`] table
+//! cross-checks all engines' verdicts per leak location, DifFuzz-style:
+//! agreement raises confidence, disagreement localises the cases one
+//! method is blind to.
 
 use crate::report::{Leak, LeakKind, LeakLocation, LeakReport};
 use owl_stats::ks::ks_two_sample;
@@ -31,19 +32,46 @@ use owl_stats::{EngineOutcome, WeightedSamples};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
+/// The conventional TVLA decision threshold on `|t|`.
+const TVLA_THRESHOLD: f64 = 4.5;
+/// Bits above which the MI engine flags a feature as input-dependent.
+const MI_THRESHOLD_BITS: f64 = 0.2;
+/// Small-sample guard of the MI engine: both sides need at least this much
+/// total weight before the engine rejects.
+const MI_MIN_WEIGHT: u64 = 8;
+
 /// The selectable analysis engines.
-///
-/// `Engine` is the *configuration name* of an engine; [`Engine::build`]
-/// instantiates the corresponding [`AnalysisEngine`] with the detection's
-/// parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Two-sample KS test (the paper's choice, the default).
+    /// The paper's two-sample Kolmogorov–Smirnov test (§VII-B), the
+    /// default.
+    ///
+    /// Claims: detects *any* distribution difference given enough samples,
+    /// no normality assumption. Does not claim: a leakage magnitude — its
+    /// statistic is a distance, not an information measure.
     #[default]
     Ks,
-    /// Fixed-vs-random TVLA: Welch's t-test, `|t| > 4.5`.
+    /// Fixed-vs-random TVLA: Welch's t-test with the `|t| > 4.5`
+    /// convention.
+    ///
+    /// Claims: the prior-work baseline (TVLA, dudect), sensitive to mean
+    /// shifts with a battle-tested false-positive threshold. Does not
+    /// claim: sensitivity to equal-mean distribution changes (bimodal vs
+    /// unimodal features pass unnoticed) — the ablation case that
+    /// motivates KS.
     Tvla,
-    /// Mutual-information leakage quantification (bits per observation).
+    /// MicroWalk-style mutual-information quantification (bits per
+    /// observation).
+    ///
+    /// Claims: an *amount* — the estimated bits an attacker learns about
+    /// the input class from one observation of the feature (per A-DCFG
+    /// node for control flow, per instruction for data flow), 0 for
+    /// identical distributions, 1 for disjoint supports. Does not claim:
+    /// calibrated false-positive control on noisy features — the empirical
+    /// estimate is biased upward for small samples (disjoint-by-chance
+    /// supports read as a full bit), which is why the engine refuses to
+    /// *decide* below a total weight of 8 per side and why KS remains the
+    /// default detector.
     Mi,
 }
 
@@ -71,190 +99,81 @@ impl Engine {
         }
     }
 
-    /// Instantiates the engine with the analysis confidence level `alpha`
-    /// (only the KS engine consumes it; TVLA and MI use their conventional
-    /// fixed thresholds).
-    pub fn build(self, alpha: f64) -> Box<dyn AnalysisEngine> {
+    /// Compares the fixed-input (`fix`) and random-input (`rnd`) weighted
+    /// sample sets of one feature and decides whether the distributions
+    /// differ in an input-dependent way. Only the KS engine consumes the
+    /// confidence level `alpha`; TVLA and MI use their conventional fixed
+    /// thresholds.
+    ///
+    /// # Contract
+    ///
+    /// Every engine is **pure** (the outcome is a function of the two
+    /// sample multisets alone — no interior state, clocks, or randomness)
+    /// and therefore **merge-order independent**: because
+    /// [`WeightedSamples`] assembled by any sequence of associative
+    /// evidence merges are equal as multisets, `compare` returns
+    /// bit-identical outcomes however the evidence was chunked. This is
+    /// what extends the detection's determinism contract to every engine.
+    /// Every engine also honours the [`EngineOutcome`] invariants
+    /// (`p_value` ranks evidence strength; one-sided presence is a
+    /// structural rejection).
+    pub fn compare(
+        self,
+        alpha: f64,
+        fix: &WeightedSamples,
+        rnd: &WeightedSamples,
+    ) -> EngineOutcome {
         match self {
-            Engine::Ks => Box::new(KsEngine { alpha }),
-            Engine::Tvla => Box::new(TvlaEngine::default()),
-            Engine::Mi => Box::new(MiEngine::default()),
-        }
-    }
-}
-
-/// The per-feature decision point of the leakage analysis.
-///
-/// `compare` receives the feature's weighted sample sets merged from the
-/// fixed-input evidence (`fix`) and the random-input evidence (`rnd`) and
-/// decides whether the distributions differ in an input-dependent way.
-///
-/// # Contract
-///
-/// Implementations must be **pure** (the outcome is a function of the two
-/// sample multisets alone — no interior state, clocks, or randomness) and
-/// therefore **merge-order independent**: because [`WeightedSamples`]
-/// assembled by any sequence of associative evidence merges are equal as
-/// multisets, `compare` returns bit-identical outcomes however the
-/// evidence was chunked. This is what extends the PR-1 determinism
-/// contract to every engine. Implementations must also honour the
-/// [`EngineOutcome`] invariants (`p_value` ranks evidence strength;
-/// one-sided presence is a structural rejection).
-pub trait AnalysisEngine {
-    /// The engine's stable machine-readable name.
-    fn name(&self) -> &'static str;
-
-    /// Compares the fixed-input and random-input sample sets of one
-    /// feature.
-    fn compare(&self, fix: &WeightedSamples, rnd: &WeightedSamples) -> EngineOutcome;
-}
-
-/// The paper's two-sample Kolmogorov–Smirnov engine (§VII-B).
-///
-/// Claims: detects *any* distribution difference given enough samples, no
-/// normality assumption. Does not claim: a leakage magnitude — its
-/// statistic is a distance, not an information measure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KsEngine {
-    /// Confidence level of the test (the paper uses 0.95).
-    pub alpha: f64,
-}
-
-impl Default for KsEngine {
-    fn default() -> Self {
-        KsEngine { alpha: 0.95 }
-    }
-}
-
-impl AnalysisEngine for KsEngine {
-    fn name(&self) -> &'static str {
-        Engine::Ks.name()
-    }
-
-    fn compare(&self, fix: &WeightedSamples, rnd: &WeightedSamples) -> EngineOutcome {
-        let out = ks_two_sample(fix, rnd, self.alpha);
-        EngineOutcome {
-            rejected: out.rejected,
-            statistic: out.statistic,
-            p_value: out.p_value,
-            bits: None,
-        }
-    }
-}
-
-/// Fixed-vs-random TVLA: Welch's t-test with the `|t| > 4.5` convention.
-///
-/// Claims: the prior-work baseline (TVLA, dudect), sensitive to mean
-/// shifts with a battle-tested false-positive threshold. Does not claim:
-/// sensitivity to equal-mean distribution changes (bimodal vs unimodal
-/// features pass unnoticed) — the ablation case that motivates KS.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TvlaEngine {
-    /// Decision threshold on `|t|` (the TVLA convention is 4.5).
-    pub threshold: f64,
-}
-
-impl Default for TvlaEngine {
-    fn default() -> Self {
-        TvlaEngine {
-            threshold: TVLA_THRESHOLD,
-        }
-    }
-}
-
-/// The conventional TVLA decision threshold on `|t|`.
-pub const TVLA_THRESHOLD: f64 = 4.5;
-
-impl AnalysisEngine for TvlaEngine {
-    fn name(&self) -> &'static str {
-        Engine::Tvla.name()
-    }
-
-    fn compare(&self, fix: &WeightedSamples, rnd: &WeightedSamples) -> EngineOutcome {
-        // Present-vs-absent features are structural differences under any
-        // method; the t-test itself needs two non-empty sides.
-        match (fix.is_empty(), rnd.is_empty()) {
-            (true, true) => return EngineOutcome::accept(),
-            (true, false) | (false, true) => {
-                return EngineOutcome {
+            Engine::Ks => {
+                let out = ks_two_sample(fix, rnd, alpha);
+                EngineOutcome {
+                    rejected: out.rejected,
+                    statistic: out.statistic,
+                    p_value: out.p_value,
+                    bits: None,
+                }
+            }
+            // Present-vs-absent features are structural differences under
+            // any method; the t-test itself needs two non-empty sides.
+            Engine::Tvla => match (fix.is_empty(), rnd.is_empty()) {
+                (true, true) => EngineOutcome::accept(),
+                (true, false) | (false, true) => EngineOutcome {
                     bits: None,
                     ..EngineOutcome::structural(f64::INFINITY)
+                },
+                (false, false) => {
+                    let out = welch_t_test(fix, rnd, TVLA_THRESHOLD);
+                    EngineOutcome {
+                        rejected: out.rejected,
+                        statistic: out.statistic.abs(),
+                        p_value: out.approx_p_value(),
+                        bits: None,
+                    }
                 }
-            }
-            (false, false) => {}
-        }
-        let out = welch_t_test(fix, rnd, self.threshold);
-        EngineOutcome {
-            rejected: out.rejected,
-            statistic: out.statistic.abs(),
-            p_value: out.approx_p_value(),
-            bits: None,
-        }
-    }
-}
-
-/// MicroWalk-style mutual-information quantification engine.
-///
-/// Claims: an *amount* — the estimated bits an attacker learns about the
-/// input class from one observation of the feature (per A-DCFG node for
-/// control flow, per instruction for data flow), 0 for identical
-/// distributions, 1 for disjoint supports. Does not claim: calibrated
-/// false-positive control on noisy features — the empirical estimate is
-/// biased upward for small samples (disjoint-by-chance supports read as a
-/// full bit), which is why the engine refuses to *decide* below
-/// [`MiEngine::min_weight`] and why KS remains the default detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MiEngine {
-    /// Bits above which a feature is flagged as input-dependent.
-    pub threshold_bits: f64,
-    /// Minimum total weight required on both sides before the engine is
-    /// willing to reject (small-sample bias guard).
-    pub min_weight: u64,
-}
-
-impl Default for MiEngine {
-    fn default() -> Self {
-        MiEngine {
-            threshold_bits: MI_THRESHOLD_BITS,
-            min_weight: MI_MIN_WEIGHT,
-        }
-    }
-}
-
-/// Default decision threshold of the MI engine, in bits per observation.
-pub const MI_THRESHOLD_BITS: f64 = 0.2;
-/// Default small-sample guard of the MI engine: both sides need at least
-/// this much total weight before the engine rejects.
-pub const MI_MIN_WEIGHT: u64 = 8;
-
-impl AnalysisEngine for MiEngine {
-    fn name(&self) -> &'static str {
-        Engine::Mi.name()
-    }
-
-    fn compare(&self, fix: &WeightedSamples, rnd: &WeightedSamples) -> EngineOutcome {
-        match (fix.is_empty(), rnd.is_empty()) {
-            (true, true) => {
-                return EngineOutcome {
+            },
+            Engine::Mi => match (fix.is_empty(), rnd.is_empty()) {
+                (true, true) => EngineOutcome {
                     bits: Some(0.0),
                     ..EngineOutcome::accept()
+                },
+                // Present under exactly one input class: one observation
+                // pins the class — the full bit, structurally.
+                (true, false) | (false, true) => EngineOutcome::structural(1.0),
+                (false, false) => {
+                    let bits = class_mi_bits(fix, rnd);
+                    let enough =
+                        fix.total_weight() >= MI_MIN_WEIGHT && rnd.total_weight() >= MI_MIN_WEIGHT;
+                    EngineOutcome {
+                        rejected: enough && bits > MI_THRESHOLD_BITS,
+                        statistic: bits,
+                        // MI has no p-value; 1 − bits is a monotone
+                        // surrogate that ranks consistently with the
+                        // structural convention (1 bit ⇒ p = 0).
+                        p_value: (1.0 - bits).clamp(0.0, 1.0),
+                        bits: Some(bits),
+                    }
                 }
-            }
-            // Present under exactly one input class: one observation pins
-            // the class — the full bit, structurally.
-            (true, false) | (false, true) => return EngineOutcome::structural(1.0),
-            (false, false) => {}
-        }
-        let bits = class_mi_bits(fix, rnd);
-        let enough = fix.total_weight() >= self.min_weight && rnd.total_weight() >= self.min_weight;
-        EngineOutcome {
-            rejected: enough && bits > self.threshold_bits,
-            statistic: bits,
-            // MI has no p-value; 1 − bits is a monotone surrogate that
-            // ranks consistently with the structural convention (1 bit ⇒
-            // p = 0).
-            p_value: (1.0 - bits).clamp(0.0, 1.0),
-            bits: Some(bits),
+            },
         }
     }
 }
@@ -393,7 +312,6 @@ mod tests {
     fn engine_names_round_trip() {
         for engine in Engine::ALL {
             assert_eq!(Engine::from_name(engine.name()), Some(engine));
-            assert_eq!(engine.build(0.95).name(), engine.name());
         }
         assert_eq!(Engine::from_name("welch"), None);
         assert_eq!(Engine::from_name("anova"), None);
@@ -403,7 +321,7 @@ mod tests {
     fn ks_engine_matches_raw_ks_test() {
         let fix = samples((0..50).map(f64::from));
         let rnd = samples((0..50).map(|v| f64::from(v) + 100.0));
-        let out = KsEngine { alpha: 0.95 }.compare(&fix, &rnd);
+        let out = Engine::Ks.compare(0.95, &fix, &rnd);
         let raw = ks_two_sample(&fix, &rnd, 0.95);
         assert_eq!(out.rejected, raw.rejected);
         assert_eq!(out.statistic.to_bits(), raw.statistic.to_bits());
@@ -413,45 +331,43 @@ mod tests {
 
     #[test]
     fn tvla_engine_applies_the_4_5_convention() {
-        let engine = TvlaEngine::default();
+        let tvla =
+            |fix: &WeightedSamples, rnd: &WeightedSamples| Engine::Tvla.compare(0.95, fix, rnd);
         let fix = samples((0..100).map(f64::from));
         let shifted = samples((0..100).map(|v| f64::from(v) + 60.0));
-        assert!(engine.compare(&fix, &shifted).rejected);
-        assert!(!engine.compare(&fix, &fix).rejected);
+        assert!(tvla(&fix, &shifted).rejected);
+        assert!(!tvla(&fix, &fix).rejected);
         // The motivating blind spot: equal-mean bimodal vs unimodal.
         let bimodal =
             WeightedSamples::from_pairs((0..200).map(|i| (if i % 2 == 0 { 0.0 } else { 10.0 }, 1)));
         let unimodal = WeightedSamples::from_pairs([(5.0, 200)]);
-        assert!(!engine.compare(&bimodal, &unimodal).rejected);
-        assert!(KsEngine::default().compare(&bimodal, &unimodal).rejected);
+        assert!(!tvla(&bimodal, &unimodal).rejected);
+        assert!(Engine::Ks.compare(0.95, &bimodal, &unimodal).rejected);
     }
 
     #[test]
     fn tvla_engine_treats_one_sided_presence_as_structural() {
-        let engine = TvlaEngine::default();
+        let tvla =
+            |fix: &WeightedSamples, rnd: &WeightedSamples| Engine::Tvla.compare(0.95, fix, rnd);
         let present = samples([1.0, 2.0, 3.0]);
-        let out = engine.compare(&present, &WeightedSamples::new());
+        let out = tvla(&present, &WeightedSamples::new());
         assert!(out.rejected);
         assert_eq!(out.p_value, 0.0);
         assert!(out.statistic.is_infinite());
-        assert!(
-            !engine
-                .compare(&WeightedSamples::new(), &WeightedSamples::new())
-                .rejected
-        );
+        assert!(!tvla(&WeightedSamples::new(), &WeightedSamples::new()).rejected);
     }
 
     #[test]
     fn mi_engine_quantifies_and_guards_small_samples() {
-        let engine = MiEngine::default();
+        let mi = |fix: &WeightedSamples, rnd: &WeightedSamples| Engine::Mi.compare(0.95, fix, rnd);
         // Identical distributions: 0 bits, never flagged.
         let fix = WeightedSamples::from_pairs([(0.0, 20)]);
-        let same = engine.compare(&fix, &fix);
+        let same = mi(&fix, &fix);
         assert!(!same.rejected);
         assert_eq!(same.bits, Some(0.0));
         // Disjoint supports with enough weight: the full bit, flagged.
         let rnd = WeightedSamples::from_pairs([(1.0, 10), (2.0, 10)]);
-        let leak = engine.compare(&fix, &rnd);
+        let leak = mi(&fix, &rnd);
         assert!(leak.rejected);
         assert!((leak.bits.unwrap() - 1.0).abs() < 1e-12);
         assert_eq!(leak.p_value, 0.0);
@@ -459,7 +375,7 @@ mod tests {
         // not flagged — too few observations to trust the estimate.
         let tiny_fix = WeightedSamples::from_pairs([(0.0, 2)]);
         let tiny_rnd = WeightedSamples::from_pairs([(1.0, 2)]);
-        let tiny = engine.compare(&tiny_fix, &tiny_rnd);
+        let tiny = mi(&tiny_fix, &tiny_rnd);
         assert!(!tiny.rejected);
         assert!(tiny.bits.unwrap() > 0.9);
     }

@@ -1,6 +1,6 @@
 //! The Owl detector: the three phases end to end.
 
-use crate::analysis::engine_reports;
+use crate::analysis::{leakage_test, AnalysisConfig};
 use crate::engine::{Engine, EngineComparison};
 use crate::error::{DetectError, DetectPhase, RunContext};
 use crate::evidence::Evidence;
@@ -1077,8 +1077,18 @@ where
             .split_first()
             .expect("E_rnd is always gathered");
         let class_reports = parallel_map(self.workers, fixes.len(), self.token, |c| {
-            (!cancelled && evidence.testable(c))
-                .then(|| engine_reports(&fixes[c], rnd, config.alpha, engines))
+            (!cancelled && evidence.testable(c)).then(|| {
+                engines
+                    .iter()
+                    .map(|&method| {
+                        let analysis = AnalysisConfig {
+                            alpha: config.alpha,
+                            method,
+                        };
+                        leakage_test(&fixes[c], rnd, &analysis)
+                    })
+                    .collect::<Vec<_>>()
+            })
         });
         let mut merged: Vec<(Engine, LeakReport)> = engines
             .iter()
@@ -1088,7 +1098,7 @@ where
         for (c, slot) in class_reports.into_iter().enumerate() {
             match slot {
                 Ok(Some(per_engine)) => {
-                    for ((_, acc), (_, class_report)) in merged.iter_mut().zip(&per_engine) {
+                    for ((_, acc), class_report) in merged.iter_mut().zip(&per_engine) {
                         acc.merge(class_report);
                     }
                 }

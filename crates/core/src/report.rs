@@ -3,6 +3,7 @@
 use crate::trace::InvocationKey;
 use owl_host::CallSite;
 use serde::Serialize;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -118,29 +119,36 @@ impl LeakReport {
     /// paper screens leaks pointing at the same code location; in the
     /// simulator the block id *is* the static location).
     pub fn merge(&mut self, other: &LeakReport) {
-        let mut seen: BTreeMap<LeakLocation, usize> = self
-            .leaks
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.location.clone(), i))
-            .collect();
-        for leak in &other.leaks {
-            match seen.get(&leak.location) {
-                Some(&i) => {
-                    // Keep the stronger signal.
-                    if leak.p_value < self.leaks[i].p_value {
-                        self.leaks[i] = leak.clone();
-                    }
-                }
-                None => {
-                    seen.insert(leak.location.clone(), self.leaks.len());
-                    self.leaks.push(leak.clone());
-                }
-            }
-        }
+        keep_strongest(&mut self.leaks, other.leaks.iter().cloned());
         self.tested_invocations = self.tested_invocations.max(other.tested_invocations);
         self.tested_nodes = self.tested_nodes.max(other.tested_nodes);
         self.tested_instructions = self.tested_instructions.max(other.tested_instructions);
+    }
+}
+
+/// Appends `incoming` to `kept` in order, deduplicating by location: the
+/// first occurrence of a location keeps its slot, and a later leak at the
+/// same location replaces it only with a strictly smaller `p_value` (the
+/// stronger signal).
+pub(crate) fn keep_strongest(kept: &mut Vec<Leak>, incoming: impl IntoIterator<Item = Leak>) {
+    let mut seen: BTreeMap<LeakLocation, usize> = kept
+        .iter()
+        .enumerate()
+        .map(|(i, l)| (l.location.clone(), i))
+        .collect();
+    for leak in incoming {
+        match seen.entry(leak.location.clone()) {
+            Entry::Occupied(slot) => {
+                let i = *slot.get();
+                if leak.p_value < kept[i].p_value {
+                    kept[i] = leak;
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(kept.len());
+                kept.push(leak);
+            }
+        }
     }
 }
 

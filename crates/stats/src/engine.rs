@@ -1,7 +1,7 @@
 //! The method-agnostic outcome type shared by every analysis engine.
 //!
 //! The detector's phase-3 decision point — "is this feature's distribution
-//! input-dependent?" — is answered by pluggable engines (two-sample KS,
+//! input-dependent?" — is answered by selectable engines (two-sample KS,
 //! fixed-vs-random TVLA, mutual-information quantification). Each engine
 //! reduces its method-specific result ([`KsOutcome`](crate::KsOutcome),
 //! [`WelchOutcome`](crate::WelchOutcome), estimated bits) to one

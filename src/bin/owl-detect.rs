@@ -563,7 +563,7 @@ fn dispatch(opts: &Options) -> Result<ExitCode, String> {
             if let Some(rest) = other.strip_prefix("dummy") {
                 let elems = rest
                     .strip_prefix(':')
-                    .map(|v| v.parse().map_err(|_| "bad dummy size"))
+                    .map(|v| v.parse().ok().filter(|&n| n > 0).ok_or("bad dummy size"))
                     .transpose()?
                     .unwrap_or(64);
                 let w = DummySbox::new(elems);

@@ -144,23 +144,88 @@ fn injected_fault_stdout_is_byte_identical_across_parallelism() {
     );
 }
 
+/// Malformed invocations, each with the stderr fragments it must produce.
+const MALFORMED: &[(&[&str], &[&str])] = &[
+    (&["dummy", "--runs"], &["--runs needs a number"]),
+    (&["dummy", "--runs", "abc"], &["--runs needs a number"]),
+    (&["dummy", "--runs", "-3"], &["--runs needs a number"]),
+    (
+        &["dummy", "--alpha", "2"],
+        &["invalid configuration", "alpha"],
+    ),
+    (
+        &["dummy", "--alpha", "nan"],
+        &["invalid configuration", "alpha"],
+    ),
+    (&["dummy", "--format", "yaml"], &["--format"]),
+    (&["dummy", "--bogus"], &["unknown option --bogus"]),
+    (&["dummy", "--parallelism", "0"], &["--parallelism"]),
+    (
+        &["dummy", "--runs", "0"],
+        &["invalid configuration", "runs"],
+    ),
+    (&["dummy", "--retries", "0"], &["--retries"]),
+    (
+        &["dummy", "--min-runs", "999", "--runs", "4"],
+        &["invalid configuration", "min runs"],
+    ),
+    (&["dummy", "--aslr", "x"], &["--aslr needs a seed"]),
+    (&["dummy", "--metrics-out"], &["--metrics-out needs a path"]),
+    (&["dummy:abc"], &["bad dummy size"]),
+    (&["dummy:0"], &["bad dummy size"]),
+    (&["torch:nope"], &["unknown workload"]),
+    (&[], &["missing workload"]),
+];
+
+/// A malformed invocation exits 1 with empty stdout and one `error:` line on
+/// stderr that contains every fragment, and does not panic.
+fn assert_usage_error(args: &[&str], fragments: &[&str]) {
+    let out = owl_detect(args);
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+    assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    for fragment in fragments {
+        assert!(stderr.contains(fragment), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_invocations_exit_one_with_an_error_line() {
+    for &(args, fragments) in MALFORMED {
+        assert_usage_error(args, fragments);
+    }
+}
+
 #[test]
 fn unknown_inject_scenario_exits_one() {
-    let out = owl_detect(&["dummy", "--runs", "8", "--inject", "no-such-fault"]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
-    assert!(
-        stderr.contains("unknown --inject scenario"),
-        "stderr: {stderr}"
+    assert_usage_error(
+        &["dummy", "--runs", "8", "--inject", "no-such-fault"],
+        &["unknown --inject scenario"],
     );
 }
 
 #[test]
 fn unknown_workload_exits_one() {
-    let out = owl_detect(&["no-such-workload"]);
-    assert_eq!(out.status.code(), Some(1), "errors must exit 1");
-    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
-    assert!(stderr.contains("unknown workload"), "stderr: {stderr}");
+    assert_usage_error(&["no-such-workload"], &["unknown workload"]);
+}
+
+#[test]
+fn unknown_engine_exits_one() {
+    assert_usage_error(
+        &["dummy", "--runs", "8", "--engine", "anova"],
+        &["unknown engine"],
+    );
+}
+
+#[test]
+fn zero_budget_flag_exits_one_with_friendly_error() {
+    // Nonsense budgets are usage errors.
+    assert_usage_error(
+        &["dummy", "--runs", "8", "--max-instructions", "0"],
+        &["invalid configuration", "instructions"],
+    );
 }
 
 #[test]
@@ -211,14 +276,6 @@ fn engine_flag_selects_the_engine_and_keeps_exit_codes() {
         assert_eq!(get(&value, "verdict").as_str(), Some("leaky"));
         assert_eq!(get(get(&value, "config"), "engine").as_str(), Some(echoed));
     }
-}
-
-#[test]
-fn unknown_engine_exits_one() {
-    let out = owl_detect(&["dummy", "--runs", "8", "--engine", "anova"]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
-    assert!(stderr.contains("unknown engine"), "stderr: {stderr}");
 }
 
 #[test]
@@ -298,19 +355,6 @@ fn compare_engines_stdout_is_byte_identical_across_parallelism() {
         String::from_utf8(parallel.stdout).expect("utf8"),
         "the agreement table must not depend on the worker count"
     );
-}
-
-#[test]
-fn zero_budget_flag_exits_one_with_friendly_error() {
-    let out = owl_detect(&["dummy", "--runs", "8", "--max-instructions", "0"]);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "nonsense budgets are usage errors"
-    );
-    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
-    assert!(stderr.contains("invalid configuration"), "stderr: {stderr}");
-    assert!(stderr.contains("instructions"), "stderr: {stderr}");
 }
 
 #[test]
