@@ -213,26 +213,34 @@ fn test_matched_invocation(
                 ));
                 continue;
             };
-            if let Some((jj, rejection)) = worst_visit(config, fv, rv) {
-                report.leaks.push(rejection.into_leak(
-                    LeakKind::DataFlow,
-                    location(),
-                    format!("address distribution differs at visit {jj}"),
-                ));
-            }
+            let address = worst_visit(config, fv, rv);
             // The per-warp access-cost feature (coalesced transactions /
             // bank conflicts): warp aggregation of addresses can hide
             // per-event grouping that this catches.
-            let fcost = fnode.and_then(|n| n.cost.get(&inst));
-            let rcost = rnode.and_then(|n| n.cost.get(&inst));
-            if let (Some(fc), Some(rc)) = (fcost, rcost) {
-                if let Some((jj, rejection)) = worst_visit(config, fc, rc) {
-                    report.leaks.push(rejection.into_leak(
-                        LeakKind::DataFlow,
-                        location(),
-                        format!("memory transaction cost distribution differs at visit {jj}"),
-                    ));
+            let cost = match (
+                fnode.and_then(|n| n.cost.get(&inst)),
+                rnode.and_then(|n| n.cost.get(&inst)),
+            ) {
+                (Some(fc), Some(rc)) => worst_visit(config, fc, rc),
+                _ => None,
+            };
+            // Both features report at one location, so resolve the pair
+            // here by the rule of `keep_strongest` (the address unless the
+            // cost is strictly stronger): only the kept feature pays for
+            // its severity estimate.
+            let kept = match (address, cost) {
+                (Some(address), Some(cost)) if cost.1.out.p_value < address.1.out.p_value => {
+                    Some(("memory transaction cost", cost))
                 }
+                (Some(address), _) => Some(("address", address)),
+                (None, cost) => cost.map(|cost| ("memory transaction cost", cost)),
+            };
+            if let Some((feature, (jj, rejection))) = kept {
+                report.leaks.push(rejection.into_leak(
+                    LeakKind::DataFlow,
+                    location(),
+                    format!("{feature} distribution differs at visit {jj}"),
+                ));
             }
         }
     }
@@ -529,6 +537,54 @@ mod tests {
         assert!(report
             .of_kind(LeakKind::DataFlow)
             .any(|l| matches!(l.location, LeakLocation::Instruction(_, 0, 5))));
+    }
+
+    /// One instruction whose address and access cost both reject: the pair
+    /// resolves to one leak by `keep_strongest`'s rule.
+    fn address_and_cost_leak(rnd_cost: impl Fn(u64) -> u32) -> Leak {
+        let trace = |addr, cost| {
+            let mut b = AdcfgBuilder::new();
+            b.enter_block(0, 0);
+            b.record_access(0, 0, [addr]);
+            b.record_cost(0, 0, cost);
+            ProgramTrace {
+                invocations: vec![KernelInvocation::new(
+                    key(1, "k"),
+                    ((1, 1, 1), (32, 1, 1)),
+                    b.finish(),
+                )],
+                mallocs: vec![],
+            }
+        };
+        let fix = evidence_from(|_| trace(0x40, 1));
+        let rnd = evidence_from(|r| trace(0x40 << (r % 2), rnd_cost(r)));
+        let report = leakage_test(&fix, &rnd, &AnalysisConfig::default());
+        let leaks: Vec<_> = report.of_kind(LeakKind::DataFlow).collect();
+        assert_eq!(leaks.len(), 1, "{report}");
+        leaks[0].clone()
+    }
+
+    #[test]
+    fn strictly_stronger_cost_is_the_reported_feature() {
+        // The cost always differs (D = 1); the address half the time.
+        let leak = address_and_cost_leak(|_| 2);
+        assert!(
+            leak.detail
+                .starts_with("memory transaction cost distribution differs"),
+            "{leak}"
+        );
+        assert_eq!(leak.statistic, 1.0);
+    }
+
+    #[test]
+    fn address_wins_a_p_value_tie_with_cost() {
+        // Both features differ half the time: equal D, equal p-value.
+        let leak = address_and_cost_leak(|r| 1 + (r % 2) as u32);
+        assert!(
+            leak.detail.starts_with("address distribution differs"),
+            "{leak}"
+        );
+        assert_eq!(leak.statistic, 0.5);
     }
 
     #[test]

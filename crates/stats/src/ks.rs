@@ -6,7 +6,6 @@
 //! from non-deterministic execution noise rather than from the input. A
 //! rejected test is evidence of an input-dependent difference — a leak.
 
-use crate::ecdf::Ecdf;
 use crate::samples::WeightedSamples;
 use serde::{Deserialize, Serialize};
 
@@ -62,6 +61,21 @@ fn ks_threshold(n: f64, m: f64, sig: f64) -> f64 {
     (-((sig / 2.0).ln()) / 2.0).sqrt() * ((n + m) / (n * m)).sqrt()
 }
 
+/// Eq. (2): `sup_t |F_X(t) − F_Y(t)|` in one cumulative walk over the two
+/// sorted pair slices. It takes the same values as
+/// [`Ecdf::sup_distance`](crate::Ecdf::sup_distance) over the two
+/// [`Ecdf::from_samples`](crate::Ecdf::from_samples) step vectors, without
+/// building them.
+fn sup_distance(x: &WeightedSamples, y: &WeightedSamples) -> f64 {
+    let (n, m) = (x.total_weight() as f64, y.total_weight() as f64);
+    let (mut cx, mut cy) = (0u64, 0u64);
+    x.union_weights(y).fold(0.0f64, |sup, (wx, wy)| {
+        cx += wx;
+        cy += wy;
+        sup.max((cx as f64 / n - cy as f64 / m).abs())
+    })
+}
+
 /// Runs the two-sample KS test of the paper's §VII-B.
 ///
 /// `alpha` is the confidence level in `(0, 1)` (the paper uses 0.95). The
@@ -109,7 +123,7 @@ pub fn ks_two_sample(x: &WeightedSamples, y: &WeightedSamples, alpha: f64) -> Ks
         (false, false) => {}
     }
 
-    let d = Ecdf::from_samples(x).sup_distance(&Ecdf::from_samples(y));
+    let d = sup_distance(x, y);
     let (nf, mf) = (n as f64, m as f64);
     let sig = 1.0 - alpha;
     let threshold = ks_threshold(nf, mf, sig);

@@ -16,32 +16,19 @@
 //! the Jensen–Shannon divergence of the two distributions.
 
 use crate::samples::WeightedSamples;
-use std::collections::BTreeMap;
 
 /// Shannon entropy (bits) of a normalised distribution given as counts.
-fn entropy_bits<'a>(counts: impl Iterator<Item = &'a f64>, total: f64) -> f64 {
+fn entropy_bits(counts: impl Iterator<Item = f64>, total: f64) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }
     counts
-        .filter(|&&c| c > 0.0)
-        .map(|&c| {
+        .filter(|&c| c > 0.0)
+        .map(|c| {
             let p = c / total;
             -p * p.log2()
         })
         .sum()
-}
-
-/// The support-point key of a sample value: its bit pattern, with `-0.0`
-/// canonicalised to `+0.0` so values that compare equal under `==` (the
-/// coalescing rule of [`WeightedSamples`]) never split into two support
-/// points across the two sides.
-fn support_key(v: f64) -> u64 {
-    if v == 0.0 {
-        0.0f64.to_bits()
-    } else {
-        v.to_bits()
-    }
 }
 
 /// Mutual information, in bits, between a balanced binary class variable
@@ -50,6 +37,9 @@ fn support_key(v: f64) -> u64 {
 /// Classes are weighted equally (the detector draws the same number of
 /// fixed and random runs), so each sample set is normalised before mixing
 /// — sample-count imbalance does not bias the estimate.
+///
+/// Support points are visited in value order, by one merge walk over the
+/// two sorted pair slices; the estimate allocates nothing.
 ///
 /// Returns 0 when either side is empty (nothing observable) unless exactly
 /// one side is empty *and* the other is not, which is a present-vs-absent
@@ -73,23 +63,16 @@ pub fn class_mi_bits(x: &WeightedSamples, y: &WeightedSamples) -> f64 {
         (false, false) => {}
     }
     let (nx, ny) = (x.total_weight() as f64, y.total_weight() as f64);
-    // Normalised per-class distributions over the union of support points.
-    let mut px: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut py: BTreeMap<u64, f64> = BTreeMap::new();
-    for &(v, w) in x.pairs() {
-        *px.entry(support_key(v)).or_insert(0.0) += w as f64 / nx;
-    }
-    for &(v, w) in y.pairs() {
-        *py.entry(support_key(v)).or_insert(0.0) += w as f64 / ny;
-    }
-    let support: std::collections::BTreeSet<u64> = px.keys().chain(py.keys()).copied().collect();
-    let mix: Vec<f64> = support
-        .iter()
-        .map(|k| 0.5 * px.get(k).copied().unwrap_or(0.0) + 0.5 * py.get(k).copied().unwrap_or(0.0))
-        .collect();
-    let h_mix = entropy_bits(mix.iter(), mix.iter().sum());
-    let h_x = entropy_bits(px.values(), 1.0);
-    let h_y = entropy_bits(py.values(), 1.0);
+    // The mixture ½·P_x + ½·P_y; an absent side contributes `0 / n = 0.0`.
+    let mix = || {
+        x.union_weights(y)
+            .map(move |(wx, wy)| 0.5 * (wx as f64 / nx) + 0.5 * (wy as f64 / ny))
+    };
+    let h_mix = entropy_bits(mix(), mix().sum());
+    let side = |s: &WeightedSamples, n: f64| {
+        entropy_bits(s.pairs().iter().map(|&(_, w)| w as f64 / n), 1.0)
+    };
+    let (h_x, h_y) = (side(x, nx), side(y, ny));
     (h_mix - 0.5 * h_x - 0.5 * h_y).clamp(0.0, 1.0)
 }
 

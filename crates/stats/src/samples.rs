@@ -7,6 +7,7 @@
 //! in this crate operates on [`WeightedSamples`] directly.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// A multiset of real-valued observations with integer multiplicities.
 ///
@@ -114,6 +115,28 @@ impl WeightedSamples {
     /// The distinct sample values with their multiplicities, sorted by value.
     pub fn pairs(&self) -> &[(f64, u64)] {
         &self.pairs
+    }
+
+    /// Walks the union of both supports in value order, yielding the
+    /// weight each side has at every support point (`0` where a side has
+    /// none). Values equal under `==` (`-0.0` and `+0.0` too) are one
+    /// point. A merge over the two sorted pair slices; allocates nothing.
+    pub(crate) fn union_weights<'a>(
+        &'a self,
+        other: &'a Self,
+    ) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let (mut xs, mut ys) = (self.pairs.iter().peekable(), other.pairs.iter().peekable());
+        std::iter::from_fn(move || {
+            let order = match (xs.peek(), ys.peek()) {
+                (Some(a), Some(b)) => a.0.partial_cmp(&b.0).expect("no NaN in samples"),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => return None,
+            };
+            let wx = xs.next_if(|_| order.is_le()).map_or(0, |p| p.1);
+            let wy = ys.next_if(|_| order.is_ge()).map_or(0, |p| p.1);
+            Some((wx, wy))
+        })
     }
 
     /// Total multiplicity (the `n` that enters the KS threshold).

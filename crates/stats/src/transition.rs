@@ -125,9 +125,14 @@ impl TransitionMatrix {
             .collect()
     }
 
-    /// The weighted samples form of [`Self::to_histogram`].
+    /// The weighted samples form of [`Self::to_histogram`], built without
+    /// it: [`encode_pair`] preserves the `(src, dst)` key order, so the
+    /// entries feed the sorted fast path directly (which re-coalesces the
+    /// bins that collapse to one `f64` above 2^53).
     pub fn to_samples(&self) -> WeightedSamples {
-        self.to_histogram().to_samples()
+        WeightedSamples::from_sorted_pairs(
+            self.iter().map(|((s, d), c)| (encode_pair(s, d) as f64, c)),
+        )
     }
 
     /// An estimate of the in-memory footprint in bytes (Fig. 5 accounting).

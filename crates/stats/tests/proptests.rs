@@ -1,8 +1,10 @@
 //! Property-based tests for the statistical core.
 
-use owl_stats::{ks_two_sample, welch_t_test, Ecdf, Histogram, TransitionMatrix, WeightedSamples};
+use owl_stats::{
+    class_mi_bits, ks_two_sample, welch_t_test, Ecdf, Histogram, TransitionMatrix, WeightedSamples,
+};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher, Hash, RandomState};
 
 /// The naive reference model for both hybrid tables: a `BTreeMap` that
@@ -51,6 +53,72 @@ fn build_matrix(ops: &[((u32, u32), u64)], split: usize) -> TransitionMatrix {
 fn arb_samples() -> impl Strategy<Value = WeightedSamples> {
     prop::collection::vec((-1_000i64..1_000, 1u64..20), 1..64)
         .prop_map(|v| WeightedSamples::from_pairs(v.into_iter().map(|(x, w)| (x as f64, w))))
+}
+
+/// Non-negative sample values: small integers and eighths (so the two
+/// sides share support points), `-0.0`, and magnitudes above 2^53, both
+/// clustered (distinct integers that collapse to one `f64`) and spread.
+fn arb_nonneg_samples() -> impl Strategy<Value = WeightedSamples> {
+    prop::collection::vec(((0u8..5, 0u64..24, any::<u64>()), 1u64..1_000), 1..48).prop_map(|v| {
+        WeightedSamples::from_pairs(v.into_iter().map(|((kind, small, big), w)| {
+            let x = match kind {
+                0 => small as f64,
+                1 => small as f64 / 8.0,
+                2 => -0.0,
+                3 => (u64::MAX - small * 300) as f64,
+                _ => big as f64,
+            };
+            (x, w)
+        }))
+    })
+}
+
+/// The `BTreeMap` estimator that `class_mi_bits` replaced, kept as its
+/// oracle: per-side maps keyed by bit pattern (`-0.0` folded into `+0.0`),
+/// a `BTreeSet` union, and the mixture collected into a `Vec`.
+fn class_mi_bits_oracle(x: &WeightedSamples, y: &WeightedSamples) -> f64 {
+    fn entropy_bits<'a>(counts: impl Iterator<Item = &'a f64>, total: f64) -> f64 {
+        if total <= 0.0 {
+            return 0.0;
+        }
+        counts
+            .filter(|&&c| c > 0.0)
+            .map(|&c| {
+                let p = c / total;
+                -p * p.log2()
+            })
+            .sum()
+    }
+    let key = |v: f64| {
+        if v == 0.0 {
+            0.0f64.to_bits()
+        } else {
+            v.to_bits()
+        }
+    };
+    match (x.is_empty(), y.is_empty()) {
+        (true, true) => return 0.0,
+        (true, false) | (false, true) => return 1.0,
+        (false, false) => {}
+    }
+    let (nx, ny) = (x.total_weight() as f64, y.total_weight() as f64);
+    let mut px: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut py: BTreeMap<u64, f64> = BTreeMap::new();
+    for &(v, w) in x.pairs() {
+        *px.entry(key(v)).or_insert(0.0) += w as f64 / nx;
+    }
+    for &(v, w) in y.pairs() {
+        *py.entry(key(v)).or_insert(0.0) += w as f64 / ny;
+    }
+    let support: BTreeSet<u64> = px.keys().chain(py.keys()).copied().collect();
+    let mix: Vec<f64> = support
+        .iter()
+        .map(|k| 0.5 * px.get(k).copied().unwrap_or(0.0) + 0.5 * py.get(k).copied().unwrap_or(0.0))
+        .collect();
+    let h_mix = entropy_bits(mix.iter(), mix.iter().sum());
+    let h_x = entropy_bits(px.values(), 1.0);
+    let h_y = entropy_bits(py.values(), 1.0);
+    (h_mix - 0.5 * h_x - 0.5 * h_y).clamp(0.0, 1.0)
 }
 
 proptest! {
@@ -234,6 +302,45 @@ proptest! {
         let mut merged = build_matrix(&ops[..cut], split);
         merged.merge(&build_matrix(&ops[cut..], split / 2));
         prop_assert_eq!(&merged, &t);
+    }
+
+    /// The merge-walk MI estimator is bit-identical to the `BTreeMap`
+    /// oracle on non-negative values, in both argument orders.
+    #[test]
+    fn class_mi_bits_matches_btreemap_oracle(a in arb_nonneg_samples(), b in arb_nonneg_samples()) {
+        prop_assert_eq!(class_mi_bits(&a, &b).to_bits(), class_mi_bits_oracle(&a, &b).to_bits());
+        prop_assert_eq!(class_mi_bits(&b, &a).to_bits(), class_mi_bits_oracle(&b, &a).to_bits());
+        prop_assert_eq!(class_mi_bits(&a, &a).to_bits(), class_mi_bits_oracle(&a, &a).to_bits());
+    }
+
+    /// The KS statistic's cumulative walk is bit-identical to the supremum
+    /// distance of the two `Ecdf`s it no longer builds.
+    #[test]
+    fn ks_statistic_matches_ecdf_sup_distance(
+        a in arb_samples(),
+        b in arb_samples(),
+        c in arb_nonneg_samples(),
+        d in arb_nonneg_samples(),
+    ) {
+        for (x, y) in [(&a, &b), (&b, &a), (&c, &d), (&a, &c), (&a, &a)] {
+            let walk = ks_two_sample(x, y, 0.95).statistic;
+            let ecdf = Ecdf::from_samples(x).sup_distance(&Ecdf::from_samples(y));
+            prop_assert_eq!(walk.to_bits(), ecdf.to_bits());
+        }
+    }
+
+    /// `TransitionMatrix::to_samples` skips the intermediate histogram
+    /// without changing its output, also where boundary-block encodings
+    /// above 2^53 collapse to one `f64`.
+    #[test]
+    fn transition_samples_match_histogram_samples(
+        ops in prop::collection::vec(((0u32..8, 0u32..8), 0u64..6), 0..80),
+        split in 0usize..80,
+    ) {
+        let block = |b: u32| if b < 5 { b } else { u32::MAX - (b - 5) };
+        let ops: Vec<_> = ops.into_iter().map(|((s, d), c)| ((block(s), block(d)), c)).collect();
+        let t = build_matrix(&ops, split);
+        prop_assert_eq!(t.to_samples(), t.to_histogram().to_samples());
     }
 
     /// `eval` agrees with the brute-force definition of the ECDF.

@@ -7,7 +7,8 @@
 //!
 //! [`NoiseDummy`] is a program whose accesses vary run-to-run independently
 //! of the input (a randomised defence, the paper's "non-deterministic
-//! factors"): Owl must *not* flag it.
+//! factors"): Owl must *not* flag it. Its per-run nonce derives from the
+//! run's identity, so its verdict is the same at every parallelism.
 //!
 //! [`RunawaySpin`] is the resource-governance demo: every run spins an
 //! unbounded device loop, so each launch burns the full instruction budget
@@ -17,14 +18,13 @@
 //! effectively a hang reproducer.
 
 use crate::util::{rng, seeded_bytes};
-use owl_core::TracedProgram;
+use owl_core::{RunSpec, TracedProgram};
 use owl_gpu::build::KernelBuilder;
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
 use owl_gpu::KernelProgram;
 use owl_host::{Device, HostError};
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Entries in the S-box-like table.
 pub const TABLE_ENTRIES: usize = 256;
@@ -127,25 +127,43 @@ impl TracedProgram for DummySbox {
 }
 
 /// A program whose memory behaviour is random per *run*, not per input:
-/// the host draws a fresh nonce each execution and indexes the table with
-/// it. The fixed-input and random-input distributions coincide, so Owl's
-/// distribution test must attribute the differences to noise.
+/// every execution indexes the table with a fresh nonce. The fixed-input
+/// and random-input distributions coincide, so Owl's distribution test
+/// must attribute the differences to noise.
+///
+/// The nonce is a pure function of the run's identity (its [`RunSpec`]
+/// stream and run index), so the detector's output does not depend on
+/// which worker records which run.
 #[derive(Debug)]
 pub struct NoiseDummy {
     kernel: KernelProgram,
-    // Atomic (not `Cell`) so the workload is `Sync`: the parallel detector
-    // records runs from several threads, and the nonce must keep advancing
-    // per run regardless of which thread executes it.
-    nonce: AtomicU64,
 }
+
+/// The nonce of a run outside the detector (plain [`TracedProgram::run`]).
+const NOISE_NONCE: u64 = 0x009a_3c01;
 
 impl NoiseDummy {
     /// A fresh noise program.
     pub fn new() -> Self {
         NoiseDummy {
             kernel: build_sbox_kernel(),
-            nonce: AtomicU64::new(0x009a_3c01),
         }
+    }
+
+    fn run_with_nonce(&self, device: &mut Device, nonce: u64) -> Result<(), HostError> {
+        let mut r = rng(nonce);
+        let draw: Vec<u8> = (0..32).map(|_| r.gen()).collect();
+
+        let data = device.malloc(32);
+        device.memcpy_h2d(data, &draw)?;
+        let table = device.malloc(TABLE_ENTRIES * 4);
+        let out = device.malloc(32 * 4);
+        device.launch(
+            &self.kernel,
+            LaunchConfig::new(1u32, 32u32),
+            &[data.addr(), table.addr(), out.addr(), 32],
+        )?;
+        Ok(())
     }
 }
 
@@ -163,31 +181,31 @@ impl TracedProgram for NoiseDummy {
     }
 
     fn run(&self, device: &mut Device, _input: &u64) -> Result<(), HostError> {
-        // Fresh per-run randomness regardless of the input (e.g. a
-        // randomised masking defence).
-        let n = self.nonce.fetch_add(1, Ordering::Relaxed);
-        let mut r = rng(n);
-        let draw: Vec<u8> = (0..32).map(|_| r.gen()).collect();
+        self.run_with_nonce(device, NOISE_NONCE)
+    }
 
-        let data = device.malloc(32);
-        device.memcpy_h2d(data, &draw)?;
-        let table = device.malloc(TABLE_ENTRIES * 4);
-        let out = device.malloc(32 * 4);
-        device.launch(
-            &self.kernel,
-            LaunchConfig::new(1u32, 32u32),
-            &[data.addr(), table.addr(), out.addr(), 32],
-        )?;
-        Ok(())
+    /// Fresh per-run randomness regardless of the input (e.g. a randomised
+    /// masking defence), keyed on the stream and run index but not the
+    /// attempt, so a retried run replays the same nonce.
+    fn run_with_spec(
+        &self,
+        device: &mut Device,
+        _input: &u64,
+        spec: &RunSpec,
+    ) -> Result<(), HostError> {
+        let nonce = NOISE_NONCE
+            .wrapping_add(spec.stream << 32)
+            .wrapping_add(spec.run_index);
+        self.run_with_nonce(device, nonce)
     }
 
     fn random_input(&self, seed: u64) -> u64 {
         seed
     }
 
-    /// The per-run nonce makes `run` impure: fixed-input runs differ, and
-    /// the detector must re-record each one so the noise reaches both
-    /// evidence sets and is dismissed as input-independent.
+    /// The per-run nonce makes the detector's runs differ under one fixed
+    /// input: each must be re-recorded so the noise reaches both evidence
+    /// sets and is dismissed as input-independent.
     fn deterministic_host(&self) -> bool {
         false
     }
@@ -292,8 +310,18 @@ mod tests {
     #[test]
     fn noise_dummy_traces_differ_across_runs_with_same_input() {
         let d = NoiseDummy::new();
-        let a = record_trace(&d, &0).unwrap();
-        let b = record_trace(&d, &0).unwrap();
-        assert_ne!(a, b, "per-run nonce must vary the trace");
+        let spec = |stream, run_index, attempt| RunSpec {
+            warp_size: 32,
+            aslr_seed: None,
+            stream,
+            run_index,
+            attempt,
+        };
+        let trace = |s: RunSpec| owl_core::record_run_metered(&d, &0, &s).unwrap().0;
+        let a = trace(spec(1, 0, 0));
+        assert_ne!(a, trace(spec(1, 1, 0)), "per-run nonce must vary the trace");
+        assert_ne!(a, trace(spec(2, 0, 0)), "streams must not share nonces");
+        assert_eq!(a, trace(spec(1, 0, 0)), "a run is a function of its spec");
+        assert_eq!(a, trace(spec(1, 0, 3)), "a retry must replay its run");
     }
 }

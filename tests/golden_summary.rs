@@ -75,10 +75,7 @@ const DIGEST_CASES: &[&[&str]] = &[
     &["jpeg-encode"],
     &["jpeg-decode"],
     &["jpeg-encode-fixed"],
-    // The per-run nonce is a shared counter, so which run sees which
-    // nonce depends on the recording order: only one worker keeps it
-    // reproducible.
-    &["noise", "--parallelism", "1"],
+    &["noise"],
     &["histogram"],
     &["histogram-oblivious"],
     &["search"],

@@ -1,9 +1,10 @@
 //! The parallel evidence pipeline's determinism contract: `detect()` must
 //! produce bit-identical results for every `parallelism` setting, with and
-//! without simulated ASLR, on leaky and clean workloads alike.
+//! without simulated ASLR, on leaky, clean and noisy workloads alike.
 
 use owl::core::{detect, Detection, DetectionSummary, OwlConfig, TracedProgram, Verdict};
 use owl::workloads::aes::AesTTable;
+use owl::workloads::dummy::NoiseDummy;
 use owl::workloads::rsa::RsaLadder;
 
 fn config(parallelism: usize, aslr_seed: Option<u64>) -> OwlConfig {
@@ -99,6 +100,16 @@ fn clean_workload_is_parallelism_invariant() {
     let exponents = [0x8000_0001u64, 0xffff_ffff, 3];
     for aslr_seed in [None, Some(0xA51A)] {
         assert_bit_identical(&rsa, &exponents, aslr_seed);
+    }
+}
+
+#[test]
+fn noise_workload_is_parallelism_invariant() {
+    // Its per-run nonce is the one piece of host state that varies run to
+    // run; it derives from the run's identity, not from recording order.
+    let noise = NoiseDummy::new();
+    for aslr_seed in [None, Some(0xA51A)] {
+        assert_bit_identical(&noise, &[1, 2, 3], aslr_seed);
     }
 }
 
