@@ -371,10 +371,7 @@ impl BlockRecorder<'_> {
         if per_visit.len() <= self.j {
             per_visit.resize(self.j + 1, Histogram::new());
         }
-        let hist = &mut per_visit[self.j];
-        for a in addr_features {
-            hist.record(a, 1);
-        }
+        per_visit[self.j].record_lanes(addr_features);
     }
 
     /// Records the microarchitectural cost of the access at `inst_idx`.

@@ -21,7 +21,7 @@
 use crate::cancel::CancelToken;
 use crate::error::ExecError;
 use crate::exec::CANCEL_CHECK_STRIDE;
-use crate::grid::Dim3;
+use crate::grid::{Dim3, MAX_WARP_SIZE};
 use crate::hook::{AccessKind, KernelHook, MemEventBatch, WarpRef};
 use crate::isa::{AtomicOp, BinOp, CmpOp, MemSpace, Pred, ShflMode, UnOp};
 use crate::lowered::{LInst, LOp, LOperand, LoweredProgram, NO_GUARD};
@@ -152,7 +152,7 @@ impl<'p> WarpExec<'p> {
         warp_in_block: u32,
         warp_size: u32,
     ) -> Self {
-        debug_assert!((1..=crate::grid::MAX_WARP_SIZE).contains(&warp_size));
+        debug_assert!((1..=MAX_WARP_SIZE).contains(&warp_size));
         let block_threads = block.total();
         let mut lanes = vec![LaneInfo::default(); warp_size as usize];
         let mut init_mask: Mask = 0;
@@ -246,11 +246,22 @@ impl<'p> WarpExec<'p> {
         }
     }
 
+    /// The lanes set in `mask`, in increasing lane order.
+    #[inline]
+    fn lanes(&self, mask: Mask) -> Lanes {
+        debug_assert!(
+            self.warp_size == Mask::BITS || mask >> self.warp_size == 0,
+            "mask {mask:#x} has lanes beyond warp size {}",
+            self.warp_size
+        );
+        Lanes(mask)
+    }
+
     /// Mask of lanes (within `mask`) where predicate `p` is true.
     fn pred_mask(&self, mask: Mask, p: u16) -> Mask {
         let mut out = 0;
-        for lane in 0..self.warp_size as usize {
-            if mask & (1 << lane) != 0 && self.pred(lane, p) {
+        for lane in self.lanes(mask) {
+            if self.pred(lane, p) {
                 out |= 1 << lane;
             }
         }
@@ -543,7 +554,7 @@ impl<'p> WarpExec<'p> {
         if active == 0 {
             return Ok(());
         }
-        let lanes = (0..self.warp_size as usize).filter(|&l| active & (1 << l) != 0);
+        let lanes = self.lanes(active);
         match inst.op {
             LOp::Mov { dst, src } => {
                 for lane in lanes {
@@ -711,10 +722,11 @@ impl<'p> WarpExec<'p> {
             } => {
                 // Snapshot the source register across all lanes first:
                 // every lane reads its peer's *pre-instruction* value.
-                let snapshot: Vec<u64> = (0..self.warp_size as usize)
-                    .map(|l| self.reg(l, src))
-                    .collect();
                 let ws = self.warp_size as usize;
+                let mut snapshot = [0u64; MAX_WARP_SIZE as usize];
+                for (l, v) in snapshot[..ws].iter_mut().enumerate() {
+                    *v = self.reg(l, src);
+                }
                 for lane in lanes {
                     let sel = self.eval(lane, lane_sel) as usize;
                     let peer = match mode {
@@ -742,15 +754,13 @@ impl<'p> WarpExec<'p> {
                     .mem
                     .texture(slot)
                     .ok_or(ExecError::UnboundTexture { slot })?;
-                // Gather coordinates first (immutable self), then fetch and
-                // write back — `texture` borrows env.mem, disjoint from
-                // self and env.batch.
-                let coords: Vec<(usize, i64, i64)> = lanes
-                    .map(|lane| (lane, self.eval(lane, x) as i64, self.eval(lane, y) as i64))
-                    .collect();
+                // `texture` borrows env.mem, disjoint from self and
+                // env.batch; registers are per lane, so each lane reads its
+                // coordinates and writes its texel in one pass.
                 env.batch
                     .begin_event(bb, inst_idx, MemSpace::Texture, AccessKind::Read);
-                for (lane, xi, yi) in coords {
+                for lane in lanes {
+                    let (xi, yi) = (self.eval(lane, x) as i64, self.eval(lane, y) as i64);
                     let (texel, idx) = texture.fetch(xi, yi);
                     env.batch.push_addr(lane as u8, idx);
                     self.set_reg(lane, dst, u64::from(texel));
@@ -835,6 +845,26 @@ impl<'p> WarpExec<'p> {
     }
 }
 
+/// Iterator over the set bits of a lane mask, lowest lane first: the
+/// interpreter visits only live lanes, in the order a filter over
+/// `0..warp_size` would.
+#[derive(Debug, Clone, Copy)]
+struct Lanes(Mask);
+
+impl Iterator for Lanes {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let lane = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(lane)
+    }
+}
+
 fn f32_of(bits: u64) -> f32 {
     f32::from_bits(bits as u32)
 }
@@ -916,6 +946,32 @@ fn eval_cmp(op: CmpOp, a: u64, b: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The lane filter `Lanes` replaced.
+    fn filtered(mask: Mask, warp_size: u32) -> Vec<usize> {
+        (0..warp_size as usize)
+            .filter(|&l| mask & (1 << l) != 0)
+            .collect()
+    }
+
+    #[test]
+    fn lanes_yield_what_the_lane_filter_yields() {
+        let mut masks = vec![0, 1, 1 << 63, u64::MAX, (1 << 40) - 1];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..256 {
+            // xorshift64: deterministic pseudo-random masks.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            masks.push(state);
+        }
+        for mask in masks {
+            let lanes: Vec<usize> = Lanes(mask).collect();
+            assert_eq!(lanes, filtered(mask, 64), "mask {mask:#x}");
+            let low32 = mask & u64::from(u32::MAX);
+            assert_eq!(Lanes(low32).collect::<Vec<_>>(), filtered(low32, 32));
+        }
+    }
 
     #[test]
     fn bin_ops_basic() {

@@ -51,6 +51,14 @@ impl Histogram {
         self.bins.record(value, count);
     }
 
+    /// Adds one observation of each value — the lane features of one warp
+    /// access — with at most one fold of the buffered writes per access of
+    /// up to 64 lanes (the widest warp). Observably identical to
+    /// `record(v, 1)` for each value.
+    pub fn record_lanes(&mut self, values: impl IntoIterator<Item = u64>) {
+        self.bins.record_each(values);
+    }
+
     /// The count recorded for `value` (zero when absent).
     pub fn count(&self, value: u64) -> u64 {
         self.bins.get(value)

@@ -28,6 +28,11 @@ use std::hash::{Hash, Hasher};
 /// histograms hold one bin, address histograms a handful.
 pub(crate) const INLINE: usize = 8;
 
+/// Keys [`PairTable::record_each`] folds in one step beyond the append
+/// buffer: the widest warp the simulator runs, so one warp access costs
+/// at most one fold.
+const BATCH: usize = 64;
+
 /// The key types the table is instantiated at.
 pub(crate) trait PairKey: Copy + Ord + Default + Hash {}
 impl<T: Copy + Ord + Default + Hash> PairKey for T {}
@@ -224,6 +229,42 @@ impl<K: PairKey> PairTable<K> {
             self.pending[len] = (key, count);
             self.pending_len = len as u8 + 1;
         }
+    }
+
+    /// Adds one observation of each key — observably the same as
+    /// `record(key, 1)` per key, with at most one fold per [`BATCH`] keys.
+    /// Keys that fit the append buffer land there as `record` would put
+    /// them; once it is full, the buffer and the remaining keys are sorted
+    /// and coalesced together on the stack and merged into the sorted bins
+    /// in one step.
+    pub fn record_each(&mut self, keys: impl IntoIterator<Item = K>) {
+        let mut keys = keys.into_iter();
+        let first_overflow = loop {
+            let Some(key) = keys.next() else { return };
+            let len = usize::from(self.pending_len);
+            if len == INLINE && self.pending[len - 1].0 != key {
+                break key;
+            }
+            self.record(key, 1);
+        };
+        let mut batch = [(K::default(), 1u64); INLINE + BATCH];
+        batch[..INLINE].copy_from_slice(&self.pending);
+        batch[INLINE] = (first_overflow, 1);
+        self.pending_len = 0;
+        self.total += 1;
+        let mut n = INLINE + 1;
+        for key in keys {
+            if n == batch.len() {
+                let coalesced = coalesce(&mut batch[..n]);
+                self.sorted.merge_in(&batch[..coalesced]);
+                n = 0;
+            }
+            batch[n] = (key, 1);
+            n += 1;
+            self.total += 1;
+        }
+        let coalesced = coalesce(&mut batch[..n]);
+        self.sorted.merge_in(&batch[..coalesced]);
     }
 
     /// Folds the pending buffer into the sorted bins.
@@ -449,6 +490,27 @@ mod tests {
             h.finish()
         };
         assert_eq!(digest(&buffered), digest(&normalized));
+    }
+
+    #[test]
+    fn record_each_matches_per_key_records() {
+        for prefix in 0..12u64 {
+            for len in [0usize, 1, 5, 8, 9, 63, 64, 72, 73, 200] {
+                let mut batched = PairTable::new();
+                let mut single = PairTable::new();
+                for k in 0..prefix {
+                    batched.record(k * 7 % 5, 1);
+                    single.record(k * 7 % 5, 1);
+                }
+                let keys: Vec<u64> = (0..len as u64).map(|i| (i * 37 + prefix) % 23).collect();
+                for &k in &keys {
+                    single.record(k, 1);
+                }
+                batched.record_each(keys);
+                assert_eq!(pairs(&batched), pairs(&single), "prefix {prefix} len {len}");
+                assert_eq!(batched.total(), single.total());
+            }
+        }
     }
 
     #[test]

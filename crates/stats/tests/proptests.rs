@@ -193,15 +193,29 @@ proptest! {
 
     /// The hybrid-storage `Histogram` is observationally identical to the
     /// naive `BTreeMap` model: iteration order, point lookups, totals,
-    /// serde bytes, and `Hash`, at every buffered/normalised state.
+    /// serde bytes, and `Hash`, at every buffered/normalised state. A
+    /// warp access recorded through `record_lanes` — empty, up to 64
+    /// lanes or wider, with duplicates (`narrow` folds values together),
+    /// after per-key writes still in the append buffer — matches
+    /// `record(v, 1)` per lane.
     #[test]
     fn histogram_matches_btreemap_model(
         ops in prop::collection::vec((0u64..48, 0u64..6), 0..80),
         split in 0usize..80,
         rot in 0usize..80,
+        lanes in prop::collection::vec(0u64..48, 0..150),
+        narrow in 1u64..48,
     ) {
+        let lanes: Vec<u64> = lanes.iter().map(|v| v % narrow).collect();
+        let mut h = build_hist(&ops, split);
+        h.record_lanes(lanes.iter().copied());
+        let mut per_value = build_hist(&ops, split);
+        for &v in &lanes {
+            per_value.record(v, 1);
+        }
+        prop_assert_eq!(&h, &per_value);
+        let ops: Vec<(u64, u64)> = ops.iter().copied().chain(lanes.iter().map(|&v| (v, 1))).collect();
         let model = model_of(&ops);
-        let h = build_hist(&ops, split);
 
         // Iteration order and content.
         prop_assert_eq!(

@@ -4,12 +4,14 @@
 //! 32-bit tables (`Te0..Te3`) combine SubBytes, ShiftRows, and MixColumns
 //! into per-byte lookups, plus the raw S-box for the final round. All
 //! tables are generated from first principles (GF(2⁸) arithmetic) rather
-//! than transcribed, and validated against FIPS-197 vectors in the tests.
+//! than transcribed, once, at compile time, and validated against a
+//! brute-force generator and FIPS-197 vectors in the tests.
 
 /// Multiplication in GF(2⁸) with the AES polynomial x⁸+x⁴+x³+x+1.
-fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
-    for _ in 0..8 {
+    let mut bit = 0;
+    while bit < 8 {
         if b & 1 != 0 {
             p ^= a;
         }
@@ -19,54 +21,70 @@ fn gf_mul(mut a: u8, mut b: u8) -> u8 {
             a ^= 0x1b;
         }
         b >>= 1;
+        bit += 1;
     }
     p
 }
 
-/// The AES S-box, generated as the affine transform of the multiplicative
-/// inverse in GF(2⁸).
-pub fn sbox() -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    for x in 1..=255u8 {
-        for y in 1..=255u8 {
-            if gf_mul(x, y) == 1 {
-                inv[x as usize] = y;
-                break;
-            }
-        }
-    }
-    let mut s = [0u8; 256];
-    for x in 0..256 {
-        let i = inv[x];
-        s[x] = i ^ i.rotate_left(1) ^ i.rotate_left(2) ^ i.rotate_left(3) ^ i.rotate_left(4) ^ 0x63;
-    }
-    s
+/// The AES affine transform applied to a multiplicative inverse.
+const fn affine(i: u8) -> u8 {
+    i ^ i.rotate_left(1) ^ i.rotate_left(2) ^ i.rotate_left(3) ^ i.rotate_left(4) ^ 0x63
 }
 
-/// The four encryption T-tables.
-///
+/// The S-box: the affine transform of the multiplicative inverse in
+/// GF(2⁸). Inverses come from the log/antilog walk of the generator 3:
+/// `x = 3^k` has inverse `3^(255-k)`.
+const SBOX: [u8; 256] = {
+    let mut exp = [0u8; 255];
+    let mut x = 1u8;
+    let mut k = 0;
+    while k < 255 {
+        exp[k] = x;
+        x = gf_mul(x, 3);
+        k += 1;
+    }
+    let mut s = [affine(0); 256];
+    let mut k = 0;
+    while k < 255 {
+        s[exp[k] as usize] = affine(exp[(255 - k) % 255]);
+        k += 1;
+    }
+    s
+};
+
 /// `Te0[x] = (2·S[x], S[x], S[x], 3·S[x])` packed big-endian;
 /// `Te1..Te3` are byte rotations of `Te0`.
-pub fn t_tables() -> [[u32; 256]; 4] {
-    let s = sbox();
+const T_TABLES: [[u32; 256]; 4] = {
     let mut te = [[0u32; 256]; 4];
-    for x in 0..256 {
-        let sx = s[x];
-        let t0 = (u32::from(gf_mul(sx, 2)) << 24)
-            | (u32::from(sx) << 16)
-            | (u32::from(sx) << 8)
-            | u32::from(gf_mul(sx, 3));
+    let mut x = 0;
+    while x < 256 {
+        let sx = SBOX[x];
+        let t0 = ((gf_mul(sx, 2) as u32) << 24)
+            | ((sx as u32) << 16)
+            | ((sx as u32) << 8)
+            | gf_mul(sx, 3) as u32;
         te[0][x] = t0;
         te[1][x] = t0.rotate_right(8);
         te[2][x] = t0.rotate_right(16);
         te[3][x] = t0.rotate_right(24);
+        x += 1;
     }
     te
+};
+
+/// The AES S-box.
+pub fn sbox() -> [u8; 256] {
+    SBOX
+}
+
+/// The four encryption T-tables.
+pub fn t_tables() -> [[u32; 256]; 4] {
+    T_TABLES
 }
 
 /// Expands a 16-byte key into 44 round-key words (AES-128).
 pub fn expand_key(key: &[u8; 16]) -> [u32; 44] {
-    let s = sbox();
+    let s = &SBOX;
     let mut rk = [0u32; 44];
     for i in 0..4 {
         rk[i] = u32::from_be_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
@@ -95,8 +113,7 @@ pub fn expand_key(key: &[u8; 16]) -> [u32; 44] {
 /// Reference AES-128 single-block encryption using the same T-tables the
 /// GPU kernel uses — the correctness oracle for the device code.
 pub fn encrypt_block(rk: &[u32; 44], pt: &[u8; 16]) -> [u8; 16] {
-    let te = t_tables();
-    let s = sbox();
+    let (te, s) = (&T_TABLES, &SBOX);
     let mut w = [0u32; 4];
     for i in 0..4 {
         w[i] = u32::from_be_bytes([pt[4 * i], pt[4 * i + 1], pt[4 * i + 2], pt[4 * i + 3]]) ^ rk[i];
@@ -129,6 +146,31 @@ pub fn encrypt_block(rk: &[u32; 44], pt: &[u8; 16]) -> [u8; 16] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The brute-force generator the `const` tables replaced: inverses by
+    /// exhaustive search, T-table entries from the S-box.
+    fn brute_force_tables() -> ([u8; 256], [[u32; 256]; 4]) {
+        let mut s = [0u8; 256];
+        for x in 0..=255u8 {
+            let inv = (1..=255u8).find(|&y| gf_mul(x, y) == 1).unwrap_or(0);
+            s[usize::from(x)] = affine(inv);
+        }
+        let mut te = [[0u32; 256]; 4];
+        for x in 0..256 {
+            let t0 = u32::from_be_bytes([gf_mul(s[x], 2), s[x], s[x], gf_mul(s[x], 3)]);
+            for (r, table) in te.iter_mut().enumerate() {
+                table[x] = t0.rotate_right(8 * r as u32);
+            }
+        }
+        (s, te)
+    }
+
+    #[test]
+    fn const_tables_match_the_brute_force_generator() {
+        let (s, te) = brute_force_tables();
+        assert_eq!(sbox(), s);
+        assert_eq!(t_tables(), te);
+    }
 
     #[test]
     fn sbox_matches_fips_197() {
