@@ -195,8 +195,14 @@ mod tests {
 
         let pt_small = record_per_thread(&small, &input).unwrap().size_bytes();
         let pt_big = record_per_thread(&big, &input).unwrap().size_bytes();
-        let owl_small = owl_core::record_trace(&small, &input).unwrap().size_bytes();
-        let owl_big = owl_core::record_trace(&big, &input).unwrap().size_bytes();
+        let owl_small = owl_core::record_run_metered(&small, &input, &owl_core::RunSpec::default())
+            .unwrap()
+            .0
+            .size_bytes();
+        let owl_big = owl_core::record_run_metered(&big, &input, &owl_core::RunSpec::default())
+            .unwrap()
+            .0
+            .size_bytes();
 
         let pt_growth = pt_big as f64 / pt_small as f64;
         let owl_growth = owl_big as f64 / owl_small as f64;

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use owl_baselines::record_per_thread;
-use owl_core::record_trace;
+use owl_core::{record_run_metered, RunSpec};
 use owl_host::Device;
 use owl_workloads::aes::{AesScan, AesTTable};
 use owl_workloads::dummy::DummySbox;
@@ -28,7 +28,11 @@ fn bench_aggregation(c: &mut Criterion) {
     let mut g = quick(c);
     let dummy = DummySbox::new(2048);
     g.bench_function("aggregation/owl-adcfg-2k-threads", |b| {
-        b.iter(|| record_trace(&dummy, &1).expect("trace"))
+        b.iter(|| {
+            record_run_metered(&dummy, &1, &RunSpec::default())
+                .expect("trace")
+                .0
+        })
     });
     g.bench_function("aggregation/per-thread-2k-threads", |b| {
         b.iter(|| record_per_thread(&dummy, &1).expect("trace"))

@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use owl_core::{
-    detect, leakage_test, record_trace, AnalysisConfig, Evidence, OwlConfig, TracedProgram,
+    detect, leakage_test, record_run_metered, AnalysisConfig, Evidence, OwlConfig, RunSpec,
+    TracedProgram,
 };
 use owl_workloads::aes::AesTTable;
 use owl_workloads::dummy::DummySbox;
@@ -27,29 +28,29 @@ fn bench_trace_collection(c: &mut Criterion) {
     let aes = AesTTable::new(32);
     let key = [0x3cu8; 16];
     g.bench_function("trace/aes128-ttable", |b| {
-        b.iter(|| record_trace(&aes, &key).expect("trace"))
+        b.iter(|| record_run_metered(&aes, &key, &RunSpec::default()).expect("trace"))
     });
 
     let rsa = RsaSquareMultiply::new(32);
     g.bench_function("trace/rsa-sqm", |b| {
-        b.iter(|| record_trace(&rsa, &0xdead_beefu64).expect("trace"))
+        b.iter(|| record_run_metered(&rsa, &0xdead_beefu64, &RunSpec::default()).expect("trace"))
     });
 
     let relu = TorchFunction::new(TorchOpKind::Relu);
     let input = relu.random_input(1);
     g.bench_function("trace/torch-relu", |b| {
-        b.iter(|| record_trace(&relu, &input).expect("trace"))
+        b.iter(|| record_run_metered(&relu, &input, &RunSpec::default()).expect("trace"))
     });
 
     let enc = JpegEncode::new(16, 16);
     let img = enc.random_input(1);
     g.bench_function("trace/jpeg-encode", |b| {
-        b.iter(|| record_trace(&enc, &img).expect("trace"))
+        b.iter(|| record_run_metered(&enc, &img, &RunSpec::default()).expect("trace"))
     });
 
     let dummy = DummySbox::new(1024);
     g.bench_function("trace/dummy-1k-threads", |b| {
-        b.iter(|| record_trace(&dummy, &7).expect("trace"))
+        b.iter(|| record_run_metered(&dummy, &7, &RunSpec::default()).expect("trace"))
     });
     g.finish();
 }
@@ -58,12 +59,13 @@ fn bench_evidence_and_tests(c: &mut Criterion) {
     let mut g = quick(c);
 
     let aes = AesTTable::new(32);
-    let fixed: Vec<_> = (0..20)
-        .map(|_| record_trace(&aes, &[1u8; 16]).expect("trace"))
-        .collect();
-    let random: Vec<_> = (0..20)
-        .map(|s| record_trace(&aes, &aes.random_input(s)).expect("trace"))
-        .collect();
+    let trace = |key| {
+        record_run_metered(&aes, &key, &RunSpec::default())
+            .expect("trace")
+            .0
+    };
+    let fixed: Vec<_> = (0..20).map(|_| trace([1u8; 16])).collect();
+    let random: Vec<_> = (0..20).map(|s| trace(aes.random_input(s))).collect();
 
     g.bench_function("evidence/merge-20-aes-traces", |b| {
         b.iter(|| Evidence::from_traces(fixed.iter().cloned()))

@@ -44,10 +44,11 @@ where
     P: TracedProgram + Sync,
     P::Input: Send + Sync,
 {
-    let config = OwlConfig::builder()
-        .runs(runs)
-        .compare_engines(true)
-        .build();
+    let config = OwlConfig {
+        runs,
+        compare_engines: true,
+        ..OwlConfig::default()
+    };
     let detection = detect(program, inputs, &config)?;
     let comparison = detection
         .engine_comparison

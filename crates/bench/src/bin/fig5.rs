@@ -18,7 +18,7 @@
 //! `--large` extends the sweep to the paper's 128,000-thread scale.
 
 use owl_bench::{fmt_bytes, write_bench_json};
-use owl_core::{record_trace, TracedProgram};
+use owl_core::{record_run_metered, RunSpec, TracedProgram};
 use owl_workloads::dummy::DummySbox;
 use owl_workloads::jpeg::JpegEncode;
 use owl_workloads::torch::{TorchFunction, TorchOpKind};
@@ -51,7 +51,9 @@ fn main() {
     };
     for elems in dummy_sizes {
         let d = DummySbox::new(elems);
-        let trace = record_trace(&d, &0x5eed).expect("trace");
+        let trace = record_run_metered(&d, &0x5eed, &RunSpec::default())
+            .expect("trace")
+            .0;
         let (k, m) = trace.size_breakdown();
         println!(
             "{:>10} {:>14} {:>12} {:>12}",
@@ -83,7 +85,9 @@ fn main() {
     for side in jpeg_sides {
         let enc = JpegEncode::new(side, side);
         let img = enc.random_input(1);
-        let trace = record_trace(&enc, &img).expect("trace");
+        let trace = record_run_metered(&enc, &img, &RunSpec::default())
+            .expect("trace")
+            .0;
         let (k, m) = trace.size_breakdown();
         println!(
             "{:>10} {:>10} {:>14} {:>12} {:>12}",
@@ -110,7 +114,9 @@ fn main() {
     let f = TorchFunction::new(TorchOpKind::TensorRepr);
     for seed in [1u64, 2, 3, 4] {
         let input = f.random_input(seed);
-        let trace = record_trace(&f, &input).expect("trace");
+        let trace = record_run_metered(&f, &input, &RunSpec::default())
+            .expect("trace")
+            .0;
         println!(
             "{:>10} {:>14}",
             format!("seed {seed}"),

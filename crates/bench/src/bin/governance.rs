@@ -13,7 +13,7 @@
 //! ```
 
 use owl_bench::write_bench_json;
-use owl_core::{detect, detect_with_cancel, CancelToken, OwlConfig, Verdict};
+use owl_core::{detect, detect_with_cancel, CancelToken, OwlConfig, ResourceBudget, Verdict};
 use owl_workloads::aes::AesTTable;
 use std::time::{Duration, Instant};
 
@@ -53,14 +53,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         force_analysis: true,
         ..OwlConfig::default()
     };
-    let governed_config = OwlConfig::builder()
-        .runs(RUNS)
-        .force_analysis(true)
-        .max_mem_events(u64::MAX / 2)
-        .max_allocations(u64::MAX / 2)
-        .max_evidence_bytes(usize::MAX / 2)
-        .deadline(Duration::from_secs(3600))
-        .validate()?;
+    let governed_config = OwlConfig {
+        budget: ResourceBudget {
+            max_mem_events: Some(u64::MAX / 2),
+            max_allocations: Some(u64::MAX / 2),
+            max_evidence_bytes: Some(usize::MAX / 2),
+            deadline: Some(Duration::from_secs(3600)),
+            ..ResourceBudget::DEFAULT
+        },
+        ..baseline_config
+    };
+    governed_config.validate()?;
 
     let baseline_ms = best_of(|| {
         detect(&aes, &keys, &baseline_config)

@@ -4,14 +4,15 @@
 //! Real targets crash, deadlock, and time out mid-campaign; the detector's
 //! job is to survive them and *account for* them. Three pieces live here:
 //!
-//! * [`RetryPolicy`] — a bounded, deterministic retry loop around every
-//!   recording. The retry attempt is folded into the run's
-//!   [`RunSpec`](crate::record::RunSpec) (it feeds the ASLR layout seed),
-//!   so a retried run is still a pure function of `(program, input, spec)`
-//!   and the bit-identical determinism contract holds for every
-//!   `parallelism` setting.
+//! * The retry rule — a bounded, deterministic retry loop around every
+//!   recording, [`OwlConfig::max_attempts`](crate::OwlConfig::max_attempts)
+//!   attempts per run, cut short by failures no retry can mend. The retry
+//!   attempt is folded into the run's [`RunSpec`](crate::record::RunSpec)
+//!   (it feeds the ASLR layout seed), so a retried run is still a pure
+//!   function of `(program, input, spec)` and the bit-identical determinism
+//!   contract holds for every `parallelism` setting.
 //! * [`RunAttempt`] — what [`Recorder::record`](crate::record::Recorder::record)
-//!   returns for one run under the policy. Panics inside a recording
+//!   returns for one run under the retry loop. Panics inside a recording
 //!   attempt are caught (`catch_unwind`) and converted into
 //!   [`DetectError::WorkerPanic`], so a crashing program can never abort
 //!   the detection or poison the fan-out.
@@ -26,90 +27,22 @@ use owl_metrics::{PhaseFaultCounters, SimCounters};
 use serde::ser::Serialize;
 use serde::Value;
 
-/// How a failure should be treated by the retry loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
-    /// Worth retrying: the next attempt (a different layout seed under
-    /// ASLR, a fresh device always) may succeed.
-    Transient,
-    /// Retrying cannot help; quarantine the run immediately.
-    Permanent,
-}
-
-/// Classifies a recording failure for the retry loop.
+/// The retry rule: whether a failed attempt is worth another one.
 ///
-/// A plain function pointer so [`OwlConfig`](crate::OwlConfig) stays
-/// `Copy` + `PartialEq` (policies compare by address).
-pub type FaultClassifier = fn(&DetectError) -> FaultClass;
-
-/// The default classifier: every program-level failure is worth retrying
-/// (each attempt runs on a fresh device, and under ASLR with a fresh
-/// layout); permanent failures are [`DetectError::NoInputs`] (a caller
-/// error, not a run failure) and the governance failures — a cancelled or
-/// budget-exhausted run fails identically on every retry (budgets are
-/// deterministic; a fired token never un-fires), so retrying only burns
-/// wall clock. `FuelExhausted` from the simulator stays transient: with
-/// the default generous fuel it signals a runaway that the injection
-/// harness deliberately recovers from on retry.
-pub fn default_fault_classifier(error: &DetectError) -> FaultClass {
-    match error.root() {
-        DetectError::NoInputs | DetectError::Cancelled | DetectError::BudgetExhausted { .. } => {
-            FaultClass::Permanent
-        }
-        _ => FaultClass::Transient,
-    }
-}
-
-/// Bounded retry for failed recordings.
-///
-/// Attempt `k` of a run records with `RunSpec { attempt: k, .. }`; since
-/// the layout seed mixes the attempt in, retries are pure functions of
-/// their spec and the detector stays bit-identical across worker counts.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per run, the first try included (`1` = no retries).
-    /// Clamped to at least 1.
-    pub max_attempts: u32,
-    /// Decides whether a failure is worth another attempt.
-    pub classify: FaultClassifier,
-}
-
-impl PartialEq for RetryPolicy {
-    /// Policies compare by budget and classifier *address* (function
-    /// pointers have no structural equality).
-    fn eq(&self, other: &Self) -> bool {
-        self.max_attempts == other.max_attempts
-            && std::ptr::fn_addr_eq(self.classify, other.classify)
-    }
-}
-
-impl Eq for RetryPolicy {}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            classify: default_fault_classifier,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (one attempt per run).
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// A policy with the given attempt budget and the default classifier.
-    pub fn with_max_attempts(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        }
-    }
+/// Every program-level failure is worth retrying (each attempt runs on a
+/// fresh device, and under ASLR with a fresh layout). Permanent failures are
+/// [`DetectError::NoInputs`] (a caller error, not a run failure) and the
+/// governance failures: a cancelled or budget-exhausted run fails
+/// identically on every retry (budgets are deterministic; a fired token
+/// never un-fires), so retrying only burns wall clock. `FuelExhausted` from
+/// the simulator stays transient: with the default generous fuel it
+/// signals a runaway that the injection harness deliberately recovers from
+/// on retry.
+pub(crate) fn is_permanent(error: &DetectError) -> bool {
+    matches!(
+        error.root(),
+        DetectError::NoInputs | DetectError::Cancelled | DetectError::BudgetExhausted { .. }
+    )
 }
 
 /// The outcome of one run driven through the retry loop.
@@ -273,54 +206,29 @@ mod tests {
     use crate::error::DetectPhase;
 
     #[test]
-    fn classifier_defaults() {
-        assert_eq!(
-            default_fault_classifier(&DetectError::NoInputs),
-            FaultClass::Permanent
-        );
-        assert_eq!(
-            default_fault_classifier(&DetectError::WorkerPanic {
-                message: "x".into()
-            }),
-            FaultClass::Transient
-        );
-        assert_eq!(
-            default_fault_classifier(&DetectError::TraceMismatch {
-                launches: 1,
-                graphs: 0
-            }),
-            FaultClass::Transient
-        );
-    }
-
-    #[test]
-    fn governance_failures_are_permanent_but_fuel_stays_transient() {
+    fn only_caller_and_governance_failures_are_permanent() {
         use crate::govern::ResourceKind;
-        assert_eq!(
-            default_fault_classifier(&DetectError::Cancelled),
-            FaultClass::Permanent
-        );
-        assert_eq!(
-            default_fault_classifier(&DetectError::BudgetExhausted {
-                resource: ResourceKind::MemEvents,
-                used: 2,
-                limit: 1,
-            }),
-            FaultClass::Permanent
-        );
+        assert!(is_permanent(&DetectError::NoInputs));
+        assert!(is_permanent(&DetectError::Cancelled));
+        assert!(is_permanent(&DetectError::BudgetExhausted {
+            resource: ResourceKind::MemEvents,
+            used: 2,
+            limit: 1,
+        }));
+        assert!(!is_permanent(&DetectError::WorkerPanic {
+            message: "x".into()
+        }));
+        assert!(!is_permanent(&DetectError::TraceMismatch {
+            launches: 1,
+            graphs: 0
+        }));
         // The injection harness relies on FuelExhausted recovering on retry.
-        assert_eq!(
-            default_fault_classifier(&DetectError::Host(owl_host::HostError::Launch(
-                owl_gpu::ExecError::FuelExhausted
-            ))),
-            FaultClass::Transient
-        );
-        assert_eq!(
-            default_fault_classifier(&DetectError::Host(owl_host::HostError::Launch(
-                owl_gpu::ExecError::Cancelled
-            ))),
-            FaultClass::Transient
-        );
+        assert!(!is_permanent(&DetectError::Host(
+            owl_host::HostError::Launch(owl_gpu::ExecError::FuelExhausted)
+        )));
+        assert!(!is_permanent(&DetectError::Host(
+            owl_host::HostError::Launch(owl_gpu::ExecError::Cancelled)
+        )));
     }
 
     #[test]
@@ -363,15 +271,6 @@ mod tests {
         assert_eq!(counters.quarantined, 4);
         assert_eq!(counters.budget_exhausted, 2);
         assert_eq!(counters.cancelled, 2);
-    }
-
-    #[test]
-    fn retry_policies_compare_and_copy() {
-        let a = RetryPolicy::default();
-        let b = a;
-        assert_eq!(a, b);
-        assert_eq!(RetryPolicy::no_retries().max_attempts, 1);
-        assert_eq!(RetryPolicy::with_max_attempts(5).max_attempts, 5);
     }
 
     #[test]

@@ -239,9 +239,10 @@ impl FaultPlan {
 /// A [`TracedProgram`] wrapper that deterministically injects faults from
 /// a [`FaultPlan`].
 ///
-/// Injection happens only on detector-driven (spec-aware) recordings —
-/// plain [`record_trace`](crate::record::record_trace) calls see the inner
-/// program unmodified. The wrapper always reports
+/// Injection keys on the recording's [`RunSpec`], so it happens on every
+/// recording (all of which go through
+/// [`TracedProgram::run_with_spec`]); a plain [`TracedProgram::run`] sees
+/// the inner program unmodified. The wrapper always reports
 /// `deterministic_host() == false`: injection keys on `(run_index,
 /// attempt)`, so fixed-input runs are *not* interchangeable and the
 /// record-once replication fast path must stay off.

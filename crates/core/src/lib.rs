@@ -99,23 +99,20 @@ pub use analysis::{leakage_test, AnalysisConfig};
 pub use engine::{Engine, EngineComparison, EngineRow, EngineVerdict};
 pub use error::{DetectError, DetectPhase, RunContext};
 pub use evidence::Evidence;
-pub use fault::{
-    default_fault_classifier, FaultClass, FaultClassifier, FaultLog, FaultRecord, RetryPolicy,
-    RunAttempt,
-};
+pub use fault::{FaultLog, FaultRecord, RunAttempt};
 pub use filter::{filter_traces, FilterOutcome, InputClass};
 pub use govern::{CancelToken, ResourceBudget, ResourceKind, RunGovernor};
 pub use inject::{ExecFaultKind, FaultPlan, FaultRule, FaultyProgram, InjectedFault};
 pub use owl::{
-    detect, detect_with_cancel, fix_stream, ConfigError, Detection, OwlConfig, OwlConfigBuilder,
-    PhaseStats, Verdict, STREAM_RND, STREAM_USER,
+    detect, detect_with_cancel, fix_stream, ConfigError, Detection, OwlConfig, PhaseStats, Verdict,
+    STREAM_RND, STREAM_USER,
 };
 pub use owl_metrics::{
     FaultCounters, PhaseFaultCounters, PhaseSpan, SimCounters, Spans, SCHEMA_VERSION,
 };
 pub use owl_stats::EngineOutcome;
 pub use program::TracedProgram;
-pub use record::{record_run_metered, record_trace, Recorder, RunSpec};
+pub use record::{record_run_metered, Recorder, RunSpec};
 pub use report::{Leak, LeakKind, LeakLocation, LeakReport};
 pub use summary::{verdict_name, BudgetUtilization, DetectionSummary, MetricsReport, PhaseStatsMs};
 pub use trace::{InvocationKey, KernelInvocation, MallocRecord, ProgramTrace};

@@ -4,7 +4,7 @@ use crate::analysis::{leakage_test, AnalysisConfig};
 use crate::engine::{Engine, EngineComparison};
 use crate::error::{DetectError, DetectPhase, RunContext};
 use crate::evidence::Evidence;
-use crate::fault::{FaultLog, FaultRecord, RetryPolicy, RunAttempt};
+use crate::fault::{FaultLog, FaultRecord, RunAttempt};
 use crate::filter::{filter_traces, FilterOutcome};
 use crate::govern::{CancelToken, ResourceBudget, ResourceKind, RunGovernor};
 use crate::parallel::parallel_map;
@@ -66,17 +66,20 @@ pub struct OwlConfig {
     /// calling thread. Results are bit-identical for every value — the
     /// evidence merge tree depends only on the run count.
     pub parallelism: usize,
-    /// Retry policy for failed recordings. Each attempt re-records the run
-    /// with the attempt index folded into its [`RunSpec`], so retries stay
-    /// pure functions of their spec and the determinism contract holds.
-    /// Runs that exhaust the budget are quarantined into the detection's
-    /// [`FaultLog`] instead of aborting.
-    pub retry: RetryPolicy,
+    /// Recording attempts per run, the first try included (`1` = no
+    /// retries). Each attempt re-records the run with the attempt index
+    /// folded into its [`RunSpec`], so retries stay pure functions of their
+    /// spec and the determinism contract holds. Cancelled and
+    /// budget-exhausted runs are not retried. Runs that exhaust the
+    /// attempts are quarantined into the detection's [`FaultLog`] instead
+    /// of aborting.
+    pub max_attempts: u32,
     /// Minimum surviving runs per evidence set (the shared `E_rnd` and each
     /// class's `E_fix`) for the distribution tests to be trusted. Sets that
     /// fall below the quorum make the verdict [`Verdict::Inconclusive`]
     /// rather than silently under-powered. `None` = half the configured
-    /// runs (at least 2, never more than `runs`).
+    /// runs (at least 2, never more than `runs`). The effective quorum is
+    /// never below 1 (see [`OwlConfig::quorum`]).
     pub min_runs_per_set: Option<usize>,
     /// Resource budgets and deadline for the whole detection. Exhaustion
     /// surfaces as typed faults feeding the quarantine machinery, never as
@@ -98,7 +101,7 @@ impl Default for OwlConfig {
             parallelism: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            retry: RetryPolicy::default(),
+            max_attempts: 3,
             min_runs_per_set: None,
             budget: ResourceBudget::DEFAULT,
         }
@@ -106,24 +109,22 @@ impl Default for OwlConfig {
 }
 
 impl OwlConfig {
-    /// A fluent builder over the defaults:
-    /// `OwlConfig::builder().runs(40).aslr_seed(7).build()`. Struct-literal
-    /// construction via [`Default`] keeps working.
-    pub fn builder() -> OwlConfigBuilder {
-        OwlConfigBuilder::default()
-    }
-
     /// The effective per-set quorum: [`OwlConfig::min_runs_per_set`], or
-    /// half the configured runs (at least 2), capped at `runs`.
+    /// half the configured runs (at least 2), capped at `runs` — and never
+    /// below 1, so an evidence set with no surviving run is never tested
+    /// (every test compares recorded fixed evidence with recorded random
+    /// evidence).
     pub fn quorum(&self) -> usize {
         self.min_runs_per_set
             .unwrap_or((self.runs / 2).max(2))
             .min(self.runs)
+            .max(1)
     }
 
     /// Rejects configurations that cannot produce a meaningful detection —
-    /// zero runs, a quorum no run count can satisfy, a zero-attempt retry
-    /// budget, zero resource budgets, out-of-range alpha or warp size.
+    /// zero runs, a zero quorum or one no run count can satisfy, a
+    /// zero-attempt retry budget, zero resource budgets, out-of-range alpha
+    /// or warp size.
     ///
     /// `detect` does not call this: the detector's own clamping keeps every
     /// config *safe* (it cannot crash), but a nonsensical config silently
@@ -148,10 +149,13 @@ impl OwlConfig {
         if self.parallelism == 0 {
             return Err(ConfigError::ZeroParallelism);
         }
-        if self.retry.max_attempts == 0 {
+        if self.max_attempts == 0 {
             return Err(ConfigError::ZeroRetryAttempts);
         }
         if let Some(quorum) = self.min_runs_per_set {
+            if quorum == 0 {
+                return Err(ConfigError::ZeroQuorum);
+            }
             if quorum > self.runs {
                 return Err(ConfigError::QuorumExceedsRuns {
                     quorum,
@@ -206,8 +210,11 @@ pub enum ConfigError {
     },
     /// `parallelism == 0`: no worker could run.
     ZeroParallelism,
-    /// `retry.max_attempts == 0`: every run would quarantine untried.
+    /// `max_attempts == 0`: every run would quarantine untried.
     ZeroRetryAttempts,
+    /// `min_runs_per_set == Some(0)`: an evidence set with no surviving
+    /// run would count as tested.
+    ZeroQuorum,
     /// `min_runs_per_set > runs`: the quorum can never be met.
     QuorumExceedsRuns {
         /// The configured quorum.
@@ -242,6 +249,10 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "retry budget must allow at least 1 attempt (0 quarantines every run untried)"
             ),
+            ConfigError::ZeroQuorum => write!(
+                f,
+                "min runs per set must be at least 1 (0 tests evidence that has no runs)"
+            ),
             ConfigError::QuorumExceedsRuns { quorum, runs } => write!(
                 f,
                 "min runs per set ({quorum}) exceeds the configured runs ({runs}); \
@@ -257,134 +268,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builder for [`OwlConfig`]; every setter has the same name and meaning as
-/// the corresponding config field.
-#[derive(Debug, Clone, Default)]
-pub struct OwlConfigBuilder {
-    config: OwlConfig,
-}
-
-impl OwlConfigBuilder {
-    /// Executions per evidence side.
-    pub fn runs(mut self, runs: usize) -> Self {
-        self.config.runs = runs;
-        self
-    }
-
-    /// KS confidence level.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// Base seed for drawing random inputs.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Run the leakage analysis even for a single input class.
-    pub fn force_analysis(mut self, force: bool) -> Self {
-        self.config.force_analysis = force;
-        self
-    }
-
-    /// The analysis engine deciding per-feature input dependence.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.config.method = engine;
-        self
-    }
-
-    /// Runs every engine over the shared evidence and records the
-    /// cross-engine agreement table ([`Detection::engine_comparison`]).
-    pub fn compare_engines(mut self, compare: bool) -> Self {
-        self.config.compare_engines = compare;
-        self
-    }
-
-    /// SIMT warp width for every recorded execution.
-    pub fn warp_size(mut self, warp_size: u32) -> Self {
-        self.config.warp_size = warp_size;
-        self
-    }
-
-    /// Enables simulated ASLR derived from this seed.
-    pub fn aslr_seed(mut self, seed: u64) -> Self {
-        self.config.aslr_seed = Some(seed);
-        self
-    }
-
-    /// Worker threads for the recording and analysis fan-out.
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.config.parallelism = workers;
-        self
-    }
-
-    /// Retry policy for failed recordings.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Minimum surviving runs per evidence set.
-    pub fn min_runs_per_set(mut self, quorum: usize) -> Self {
-        self.config.min_runs_per_set = Some(quorum);
-        self
-    }
-
-    /// Replaces the whole resource budget.
-    pub fn budget(mut self, budget: ResourceBudget) -> Self {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Instruction budget per kernel launch (the simulator fuel).
-    pub fn max_instructions(mut self, max: u64) -> Self {
-        self.config.budget.max_instructions = max;
-        self
-    }
-
-    /// Memory-access events one recorded run may produce.
-    pub fn max_mem_events(mut self, max: u64) -> Self {
-        self.config.budget.max_mem_events = Some(max);
-        self
-    }
-
-    /// Device allocations one recorded run may perform.
-    pub fn max_allocations(mut self, max: u64) -> Self {
-        self.config.budget.max_allocations = Some(max);
-        self
-    }
-
-    /// Total merged evidence footprint the detection may hold, in bytes.
-    pub fn max_evidence_bytes(mut self, max: usize) -> Self {
-        self.config.budget.max_evidence_bytes = Some(max);
-        self
-    }
-
-    /// Wall-clock deadline for the whole detection.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.config.budget.deadline = Some(deadline);
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> OwlConfig {
-        self.config
-    }
-
-    /// Finishes the builder, rejecting nonsensical configurations (see
-    /// [`OwlConfig::validate`]).
-    ///
-    /// # Errors
-    ///
-    /// The first [`ConfigError`] found.
-    pub fn validate(self) -> Result<OwlConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 /// Cost accounting for one detection, mirroring the columns of the paper's
 /// Table IV.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -393,7 +276,8 @@ pub struct PhaseStats {
     pub trace_collection_time: Duration,
     /// Mean bytes per recorded trace.
     pub trace_bytes: usize,
-    /// Number of traces recorded for evidence (fixed + random).
+    /// Number of traces in the evidence (fixed + random), quarantined runs
+    /// excluded.
     pub evidence_traces: usize,
     /// Wall time to record + merge the evidence.
     pub evidence_time: Duration,
@@ -486,9 +370,9 @@ pub struct Detection<I> {
 ///
 /// # Fault tolerance
 ///
-/// A failing run no longer aborts the detection. Each recording retries
-/// under [`OwlConfig::retry`] (every attempt a pure function of its spec);
-/// runs that exhaust the budget are *quarantined* into
+/// A failing run does not abort the detection. Each recording gets up to
+/// [`OwlConfig::max_attempts`] attempts (each a pure function of its spec);
+/// runs that exhaust them are *quarantined* into
 /// [`Detection::faults`] and excluded from the evidence. Worker panics are
 /// caught at the run boundary and quarantined the same way. The detection
 /// completes on the surviving evidence; a clean result is reported as
@@ -556,7 +440,7 @@ where
                 budget: &config.budget,
                 cancel: token.as_ref(),
             },
-            retry: config.retry,
+            max_attempts: config.max_attempts,
         },
         token: token.as_ref(),
         workers: config.parallelism.max(1),
@@ -584,7 +468,7 @@ where
         let t = Instant::now();
         let analysis = ledger.absorb(pipeline.analyse(&evidence));
         stats.test_time = lap(&mut spans, "analysis", t);
-        stats.evidence_traces = config.runs * evidence.sets.len();
+        stats.evidence_traces = evidence.sets.iter().map(|set| set.runs as usize).sum();
         stats.evidence_cpu_time = evidence.cpu_time;
         stats.evidence_workers = evidence.workers;
         stats.peak_evidence_bytes = evidence.peak_bytes();
@@ -853,7 +737,7 @@ where
     P: TracedProgram + Sync,
     P::Input: Send + Sync,
 {
-    /// Records run `run_index` of `stream` under the retry policy.
+    /// Records run `run_index` of `stream` under the retry loop.
     fn record(&self, input: &P::Input, stream: u64, run_index: usize) -> RunAttempt {
         let spec = RunSpec {
             warp_size: self.config.warp_size,

@@ -5,14 +5,15 @@
 //! [`ProgramTrace`]: kernel launches (host side, with call-site identity)
 //! paired with their A-DCFGs (device side), plus allocation records.
 //!
-//! There are three ways to record: [`record_trace`] (a one-shot with no
-//! run identity), [`record_run_metered`] (one attempt of a detector-style
-//! run), and [`Recorder::record`], which every detector recording goes
-//! through: it adds the interpreter choice, budgets, cancellation and the
-//! retry loop.
+//! Every recording is identified by a [`RunSpec`]. The detector records
+//! through [`Recorder::record`], which adds the interpreter choice,
+//! budgets, cancellation and the retry loop; [`record_run_metered`] is one
+//! attempt of what the default [`Recorder`] records. A one-shot recording
+//! outside the detector is
+//! `record_run_metered(program, input, &RunSpec::default())`.
 
 use crate::error::DetectError;
-use crate::fault::{panic_message, FaultClass, RetryPolicy, RunAttempt};
+use crate::fault::{is_permanent, panic_message, RunAttempt};
 use crate::govern::RunGovernor;
 use crate::program::TracedProgram;
 use crate::trace::{InvocationKey, KernelInvocation, MallocRecord, ProgramTrace};
@@ -23,23 +24,6 @@ use owl_metrics::SimCounters;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-
-/// Records one execution of `program` over `input` on a fresh device with
-/// no run identity (ASLR off, the plain [`TracedProgram::run`] path).
-///
-/// Every recording uses a fresh [`Device`], so traces are independent of
-/// prior executions (the paper restarts the target per run).
-///
-/// # Errors
-///
-/// Returns [`DetectError::Host`] if the program fails, or
-/// [`DetectError::TraceMismatch`] if instrumentation lost events.
-pub fn record_trace<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-) -> Result<ProgramTrace, DetectError> {
-    record_trace_inner(program, input, &mut Device::new(), None)
-}
 
 /// Identity of one detector-driven recording: everything needed to set up
 /// the device deterministically, independent of which thread records the
@@ -65,6 +49,21 @@ pub struct RunSpec {
     /// spec: attempt 0 reproduces the pre-retry layout exactly, and each
     /// retry sees a fresh (but deterministic) layout under ASLR.
     pub attempt: u32,
+}
+
+impl Default for RunSpec {
+    /// A one-shot identity: the default warp width, ASLR off, stream 0,
+    /// run 0, first attempt. Recorded under [`record_run_metered`], it
+    /// launches exactly as a fresh [`Device::new`] does.
+    fn default() -> Self {
+        RunSpec {
+            warp_size: owl_gpu::grid::WARP_SIZE,
+            aslr_seed: None,
+            stream: 0,
+            run_index: 0,
+            attempt: 0,
+        }
+    }
 }
 
 impl RunSpec {
@@ -104,8 +103,10 @@ fn mix64(mut x: u64) -> u64 {
 /// `(program, input, spec)` recorded on the lowered interpreter with no
 /// budget beyond the default fuel and no retry.
 ///
-/// The device layout derives from [`RunSpec::layout_seed`], so any thread
-/// may record any run in any order and produce bit-identical traces.
+/// Every recording uses a fresh [`Device`], so traces are independent of
+/// prior executions (the paper restarts the target per run), and its
+/// layout derives from [`RunSpec::layout_seed`], so any thread may record
+/// any run in any order and produce bit-identical traces.
 ///
 /// The counters are kept **out of** [`ProgramTrace`] on purpose: traces are
 /// compared and digested by the duplicate filter, and folding counters into
@@ -115,7 +116,8 @@ fn mix64(mut x: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// See [`record_trace`].
+/// Returns [`DetectError::Host`] if the program fails, or
+/// [`DetectError::TraceMismatch`] if instrumentation lost events.
 pub fn record_run_metered<P: TracedProgram>(
     program: &P,
     input: &P::Input,
@@ -138,7 +140,7 @@ pub fn record_run_metered<P: TracedProgram>(
 /// attempt — records exactly what [`record_run_metered`] does. The
 /// conformance suites switch `interpreter` to the reference oracle; the
 /// detector sets the config's budgets, its cancellation token and its
-/// retry policy.
+/// attempt budget.
 #[derive(Debug, Clone, Copy)]
 pub struct Recorder<'a> {
     /// The simulator interpreter every launch runs on.
@@ -148,8 +150,9 @@ pub struct Recorder<'a> {
     /// the per-run memory-event and allocation budgets are checked once
     /// the run completes.
     pub governor: RunGovernor<'a>,
-    /// The retry policy for failed attempts.
-    pub retry: RetryPolicy,
+    /// Attempts per run, the first try included (`1` = no retries; `0`
+    /// counts as 1).
+    pub max_attempts: u32,
 }
 
 impl Default for Recorder<'static> {
@@ -157,14 +160,15 @@ impl Default for Recorder<'static> {
         Recorder {
             interpreter: Interpreter::Lowered,
             governor: RunGovernor::unbounded(),
-            retry: RetryPolicy::no_retries(),
+            max_attempts: 1,
         }
     }
 }
 
 impl Recorder<'_> {
-    /// Records one run under the retry policy: attempt `k` uses
-    /// `spec.with_attempt(k)`, failures are classified, and panics inside
+    /// Records one run under the retry loop: attempt `k` uses
+    /// `spec.with_attempt(k)`, cancelled and budget-exhausted runs are not
+    /// retried, and panics inside
     /// the program or recorder are caught and converted into
     /// [`DetectError::WorkerPanic`].
     ///
@@ -179,7 +183,7 @@ impl Recorder<'_> {
         input: &P::Input,
         spec: &RunSpec,
     ) -> RunAttempt {
-        let max_attempts = self.retry.max_attempts.max(1);
+        let max_attempts = self.max_attempts.max(1);
         let mut panics = 0u32;
         let mut attempt = 0u32;
         loop {
@@ -210,7 +214,7 @@ impl Recorder<'_> {
                 }
             };
             attempt += 1;
-            if attempt >= max_attempts || (self.retry.classify)(&error) == FaultClass::Permanent {
+            if attempt >= max_attempts || is_permanent(&error) {
                 return RunAttempt {
                     result: Err(error),
                     attempts: attempt,
@@ -245,7 +249,7 @@ fn record_once<P: TracedProgram>(
         fuel: governor.budget.max_instructions,
         cancel: governor.cancel.cloned(),
     });
-    let trace = record_trace_inner(program, input, &mut device, Some(spec))?;
+    let trace = record_trace_inner(program, input, &mut device, spec)?;
     let counters = device.total_stats().counters;
     governor
         .budget
@@ -253,22 +257,18 @@ fn record_once<P: TracedProgram>(
     Ok((trace, counters))
 }
 
-/// The shared recording core. Detector-driven runs pass their [`RunSpec`]
-/// so spec-aware programs ([`TracedProgram::run_with_spec`], e.g. the
-/// fault-injection wrapper) can key behaviour on the run identity;
-/// [`record_trace`] passes `None` and hits the plain `run` path.
+/// The recording core: runs the program through
+/// [`TracedProgram::run_with_spec`], so spec-aware programs (e.g. the
+/// fault-injection wrapper) can key behaviour on the run identity.
 fn record_trace_inner<P: TracedProgram>(
     program: &P,
     input: &P::Input,
     device: &mut Device,
-    spec: Option<&RunSpec>,
+    spec: &RunSpec,
 ) -> Result<ProgramTrace, DetectError> {
     let tracer = Rc::new(RefCell::new(OwlTracer::new(device.alloc_table())));
     device.attach_hook(tracer.clone());
-    let run_result = match spec {
-        Some(spec) => program.run_with_spec(device, input, spec),
-        None => program.run(device, input),
-    };
+    let run_result = program.run_with_spec(device, input, spec);
     device.detach_hook();
     run_result?;
 
@@ -395,11 +395,16 @@ mod tests {
         }
     }
 
+    /// A one-shot recording with the default run identity.
+    fn one_shot(toy: &Toy, input: &u64) -> Result<ProgramTrace, DetectError> {
+        Ok(record_run_metered(toy, input, &RunSpec::default())?.0)
+    }
+
     #[test]
     fn trace_structure_reflects_host_behaviour() {
         let toy = Toy::new();
-        let even = record_trace(&toy, &2).unwrap();
-        let odd = record_trace(&toy, &3).unwrap();
+        let even = one_shot(&toy, &2).unwrap();
+        let odd = one_shot(&toy, &3).unwrap();
         assert_eq!(even.invocations.len(), 1);
         assert_eq!(odd.invocations.len(), 2);
         assert_eq!(even.mallocs.len(), 1);
@@ -409,8 +414,8 @@ mod tests {
     #[test]
     fn equal_inputs_equal_traces() {
         let toy = Toy::new();
-        let a = record_trace(&toy, &6).unwrap();
-        let b = record_trace(&toy, &6).unwrap();
+        let a = one_shot(&toy, &6).unwrap();
+        let b = one_shot(&toy, &6).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
     }
@@ -418,8 +423,8 @@ mod tests {
     #[test]
     fn different_secrets_different_graphs() {
         let toy = Toy::new();
-        let a = record_trace(&toy, &2).unwrap();
-        let b = record_trace(&toy, &4).unwrap();
+        let a = one_shot(&toy, &2).unwrap();
+        let b = one_shot(&toy, &4).unwrap();
         // Same kernel sequence, but the table index differs → different
         // address histograms.
         assert_eq!(a.invocations.len(), b.invocations.len());
@@ -427,9 +432,25 @@ mod tests {
     }
 
     #[test]
+    fn default_spec_is_a_plain_device() {
+        let spec = RunSpec::default();
+        assert_eq!(spec.warp_size, owl_gpu::grid::WARP_SIZE);
+        assert_eq!((spec.stream, spec.run_index, spec.attempt), (0, 0, 0));
+        assert_eq!(spec.layout_seed(), None);
+        // The same launch options a fresh `Device::new()` launches with.
+        let defaults = LaunchOptions::default();
+        assert_eq!(spec.warp_size, defaults.warp_size);
+        assert_eq!(
+            RunGovernor::unbounded().budget.max_instructions,
+            defaults.fuel
+        );
+        assert_eq!(defaults.interpreter, Interpreter::Lowered);
+    }
+
+    #[test]
     fn recording_is_aslr_invariant() {
         let toy = Toy::new();
-        let plain = record_trace(&toy, &5).unwrap();
+        let plain = one_shot(&toy, &5).unwrap();
         let spec = RunSpec {
             warp_size: 32,
             aslr_seed: Some(42),

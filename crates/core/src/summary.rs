@@ -126,7 +126,7 @@ impl DetectionSummary {
                 compare_engines: config.compare_engines,
                 warp_size: config.warp_size,
                 aslr_seed: config.aslr_seed,
-                retry_max_attempts: config.retry.max_attempts,
+                retry_max_attempts: config.max_attempts,
                 min_runs_per_set: config.min_runs_per_set,
                 max_instructions: config.budget.max_instructions,
                 max_mem_events: config.budget.max_mem_events,
@@ -342,7 +342,11 @@ mod tests {
     #[test]
     fn summary_carries_schema_version_and_counters() {
         let d = fake_detection();
-        let config = OwlConfig::builder().runs(20).aslr_seed(7).build();
+        let config = OwlConfig {
+            runs: 20,
+            aslr_seed: Some(7),
+            ..OwlConfig::default()
+        };
         let summary = DetectionSummary::new("toy", &d, &config);
         let json = serde_json::to_string_pretty(&summary).unwrap();
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();
@@ -399,7 +403,10 @@ mod tests {
     #[test]
     fn metrics_report_flattens_durations_to_ms() {
         let d = fake_detection();
-        let config = OwlConfig::builder().parallelism(2).build();
+        let config = OwlConfig {
+            parallelism: 2,
+            ..OwlConfig::default()
+        };
         let metrics = MetricsReport::new("toy", &d, &config);
         let json = serde_json::to_string(&metrics).unwrap();
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();
@@ -417,11 +424,15 @@ mod tests {
     #[test]
     fn metrics_report_carries_budget_utilization() {
         let d = fake_detection();
-        let config = OwlConfig::builder()
-            .max_instructions(50_000)
-            .max_evidence_bytes(1 << 20)
-            .deadline(Duration::from_millis(2500))
-            .build();
+        let config = OwlConfig {
+            budget: crate::ResourceBudget {
+                max_instructions: 50_000,
+                max_evidence_bytes: Some(1 << 20),
+                deadline: Some(Duration::from_millis(2500)),
+                ..crate::ResourceBudget::DEFAULT
+            },
+            ..OwlConfig::default()
+        };
         let metrics = MetricsReport::new("toy", &d, &config);
         let json = serde_json::to_string(&metrics).unwrap();
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();

@@ -99,15 +99,15 @@ impl TracedProgram for CoalescingStride {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use owl_core::record_trace;
+    use owl_core::{record_run_metered, RunSpec};
 
     #[test]
     fn aggregate_address_histograms_are_stride_independent() {
         // The core of the blind spot: different secrets, identical
         // aggregated address histograms.
         let w = CoalescingStride::new();
-        let t1 = record_trace(&w, &1).unwrap();
-        let t33 = record_trace(&w, &33).unwrap();
+        let t1 = record_run_metered(&w, &1, &RunSpec::default()).unwrap().0;
+        let t33 = record_run_metered(&w, &33, &RunSpec::default()).unwrap().0;
         let mem = |t: &owl_core::ProgramTrace| {
             t.invocations[0]
                 .adcfg
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn stride_one_is_fully_coalesced() {
         let w = CoalescingStride::new();
-        let t = record_trace(&w, &1).unwrap();
+        let t = record_run_metered(&w, &1, &RunSpec::default()).unwrap().0;
         // The gather instruction: every warp touches 32 consecutive 4-byte
         // words = 4 segments of 32 bytes.
         let g = &t.invocations[0].adcfg;

@@ -267,7 +267,7 @@ impl TracedProgram for RunawaySpin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use owl_core::record_trace;
+    use owl_core::{record_run_metered, RunSpec};
 
     #[test]
     fn dummy_runs_and_scales_threads() {
@@ -295,7 +295,10 @@ mod tests {
             .map(|elems| {
                 let d = DummySbox::new(elems);
                 let input = d.random_input(7);
-                record_trace(&d, &input).unwrap().size_bytes()
+                record_run_metered(&d, &input, &RunSpec::default())
+                    .unwrap()
+                    .0
+                    .size_bytes()
             })
             .collect();
         let small_growth = sizes[1] as f64 / sizes[0] as f64;

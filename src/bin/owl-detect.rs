@@ -4,10 +4,9 @@
 //!
 //! `--format json` prints the schema-versioned [`DetectionSummary`] on
 //! stdout: a deterministic document, byte-identical for every
-//! `--parallelism` setting (`--json` is kept as an alias). Wall-clock
-//! metrics (phase spans, cost accounting) are non-deterministic and
-//! therefore never on stdout; `--metrics-out PATH` writes them to a
-//! separate JSON file.
+//! `--parallelism` setting. Wall-clock metrics (phase spans, cost
+//! accounting) are non-deterministic and therefore never on stdout;
+//! `--metrics-out PATH` writes them to a separate JSON file.
 //!
 //! `--engine` selects the analysis engine: `ks` (the paper's two-sample
 //! KS test, the default), `tvla` (Welch's t-test, |t| > 4.5), or `mi`
@@ -38,8 +37,8 @@
 
 use owl::core::{
     detect, Detection, DetectionSummary, Engine, ExecFaultKind, FaultPlan, FaultRule,
-    FaultyProgram, InjectedFault, MetricsReport, OwlConfig, ResourceKind, RetryPolicy,
-    TracedProgram, Verdict, STREAM_RND,
+    FaultyProgram, InjectedFault, MetricsReport, OwlConfig, ResourceKind, TracedProgram, Verdict,
+    STREAM_RND,
 };
 use owl::workloads::aes::{AesScan, AesTTable};
 use owl::workloads::coalescing::CoalescingStride;
@@ -124,9 +123,7 @@ impl Options {
             compare_engines: self.compare_engines,
             aslr_seed: self.aslr_seed,
             parallelism: self.parallelism.unwrap_or(defaults.parallelism),
-            retry: self
-                .retries
-                .map_or(defaults.retry, RetryPolicy::with_max_attempts),
+            max_attempts: self.retries.unwrap_or(defaults.max_attempts),
             min_runs_per_set: self.min_runs,
             budget,
             ..defaults
@@ -298,8 +295,6 @@ fn parse_args() -> Result<Option<Options>, String> {
                     _ => return Err("--format needs 'text' or 'json'".into()),
                 };
             }
-            // Back-compat alias for --format json.
-            "--json" => opts.format = OutputFormat::Json,
             "--metrics-out" => {
                 opts.metrics_out = Some(args.next().ok_or("--metrics-out needs a path")?);
             }

@@ -169,6 +169,11 @@ const MALFORMED: &[(&[&str], &[&str])] = &[
         &["dummy", "--min-runs", "999", "--runs", "4"],
         &["invalid configuration", "min runs"],
     ),
+    (
+        &["dummy", "--runs", "8", "--min-runs", "0"],
+        &["invalid configuration", "min runs"],
+    ),
+    (&["dummy", "--json"], &["unknown option --json"]),
     (&["dummy", "--aslr", "x"], &["--aslr needs a seed"]),
     (&["dummy", "--metrics-out"], &["--metrics-out needs a path"]),
     (&["dummy:abc"], &["bad dummy size"]),

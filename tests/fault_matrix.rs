@@ -9,19 +9,19 @@
 
 use owl::core::{
     detect, fix_stream, DetectPhase, Detection, DetectionSummary, ExecFaultKind, FaultPlan,
-    FaultRule, FaultyProgram, InjectedFault, OwlConfig, RetryPolicy, TracedProgram, Verdict,
-    STREAM_RND, STREAM_USER,
+    FaultRule, FaultyProgram, InjectedFault, OwlConfig, TracedProgram, Verdict, STREAM_RND,
+    STREAM_USER,
 };
 use owl::workloads::dummy::DummySbox;
 use owl::workloads::rsa::RsaLadder;
 
 const RUNS: usize = 12;
 
-fn config(parallelism: usize, retry: RetryPolicy) -> OwlConfig {
+fn config(parallelism: usize, max_attempts: u32) -> OwlConfig {
     OwlConfig {
         runs: RUNS,
         parallelism,
-        retry,
+        max_attempts,
         // Exercise phase 3 even when filtering finds one class (the clean
         // workload would otherwise return before the evidence fan-out).
         force_analysis: true,
@@ -34,18 +34,18 @@ fn detect_injected<P>(
     inputs: &[P::Input],
     plan: FaultPlan,
     parallelism: usize,
-    retry: RetryPolicy,
+    max_attempts: u32,
 ) -> Detection<P::Input>
 where
     P: TracedProgram + Sync,
     P::Input: Send + Sync,
 {
     let faulty = FaultyProgram::new(program, plan);
-    detect(&faulty, inputs, &config(parallelism, retry)).expect("detection survives faults")
+    detect(&faulty, inputs, &config(parallelism, max_attempts)).expect("detection survives faults")
 }
 
-fn summary_json<I>(detection: &Detection<I>, parallelism: usize, retry: RetryPolicy) -> String {
-    let summary = DetectionSummary::new("workload", detection, &config(parallelism, retry));
+fn summary_json<I>(detection: &Detection<I>, parallelism: usize, max_attempts: u32) -> String {
+    let summary = DetectionSummary::new("workload", detection, &config(parallelism, max_attempts));
     serde_json::to_string_pretty(&summary).expect("json")
 }
 
@@ -55,9 +55,9 @@ fn summary_json<I>(detection: &Detection<I>, parallelism: usize, retry: RetryPol
 fn summary_json_without_faults<I>(
     detection: &Detection<I>,
     parallelism: usize,
-    retry: RetryPolicy,
+    max_attempts: u32,
 ) -> String {
-    let json = summary_json(detection, parallelism, retry);
+    let json = summary_json(detection, parallelism, max_attempts);
     let value: serde_json::Value = serde_json::from_str(&json).expect("summary parses");
     let serde_json::Value::Map(entries) = value else {
         panic!("summary is a JSON object");
@@ -107,7 +107,7 @@ fn every_fault_kind_is_quarantined_not_fatal() {
     let inputs = [1u64, 2, 3, 4];
     for (tag, fault) in every_fault() {
         let plan = FaultPlan::new().fail_run(STREAM_RND, 1, fault);
-        let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy::no_retries());
+        let detection = detect_injected(&w, &inputs, plan, 2, 1);
         assert_eq!(detection.verdict, Verdict::Leaky, "fault {tag}");
         assert_eq!(detection.faults.len(), 1, "fault {tag}");
         let record = &detection.faults.records()[0];
@@ -133,11 +133,17 @@ fn every_fault_kind_is_quarantined_not_fatal() {
 fn transient_faults_recover_to_byte_identical_summaries() {
     let w = DummySbox::new(64);
     let inputs = [1u64, 2, 3, 4];
-    let retry = RetryPolicy::default();
-    let clean = detect(&w, &inputs, &config(1, retry)).expect("fault-free detection");
-    let clean_json = summary_json_without_faults(&clean, 1, retry);
+    let max_attempts = OwlConfig::default().max_attempts;
+    let clean = detect(&w, &inputs, &config(1, max_attempts)).expect("fault-free detection");
+    let clean_json = summary_json_without_faults(&clean, 1, max_attempts);
     assert!(clean.faults.is_empty());
     assert!(clean.fault_counters.is_zero());
+    // Fault-free, every configured run reaches the evidence: E_rnd plus
+    // one E_fix per class.
+    assert_eq!(
+        clean.stats.evidence_traces,
+        RUNS * (1 + clean.filter.classes.len())
+    );
 
     let plan = || {
         FaultPlan::new().rule(FaultRule {
@@ -149,7 +155,7 @@ fn transient_faults_recover_to_byte_identical_summaries() {
     };
     let mut full_jsons = Vec::new();
     for parallelism in [1, 2, 4, 8] {
-        let detection = detect_injected(&w, &inputs, plan(), parallelism, retry);
+        let detection = detect_injected(&w, &inputs, plan(), parallelism, max_attempts);
         assert_eq!(detection.verdict, clean.verdict, "p{parallelism}");
         assert!(detection.faults.is_empty(), "p{parallelism}");
         assert_eq!(
@@ -158,11 +164,11 @@ fn transient_faults_recover_to_byte_identical_summaries() {
         );
         assert_eq!(detection.fault_counters.evidence.quarantined, 0);
         assert_eq!(
-            summary_json_without_faults(&detection, parallelism, retry),
+            summary_json_without_faults(&detection, parallelism, max_attempts),
             clean_json,
             "retry-recovered summary must match the fault-free bytes at p{parallelism}"
         );
-        full_jsons.push(summary_json(&detection, parallelism, retry));
+        full_jsons.push(summary_json(&detection, parallelism, max_attempts));
     }
     // The fault counters themselves are part of the determinism contract.
     assert!(
@@ -179,12 +185,12 @@ fn transient_faults_recover_to_byte_identical_summaries() {
 fn quarantine_below_quorum_is_inconclusive() {
     let w = RsaLadder::new(32);
     let exponents = [0x8000_0001u64, 0xffff_ffff, 3];
-    let retry = RetryPolicy::no_retries();
+    let max_attempts = 1;
     let plan =
         || FaultPlan::new().fail_stream(STREAM_RND, InjectedFault::Exec(ExecFaultKind::Memory));
     let mut jsons = Vec::new();
     for parallelism in [1, 2, 4, 8] {
-        let detection = detect_injected(&w, &exponents, plan(), parallelism, retry);
+        let detection = detect_injected(&w, &exponents, plan(), parallelism, max_attempts);
         assert_eq!(detection.verdict, Verdict::Inconclusive, "p{parallelism}");
         assert!(detection.report.is_clean(), "no fabricated leaks");
         assert_eq!(
@@ -199,7 +205,11 @@ fn quarantine_below_quorum_is_inconclusive() {
             assert_eq!(record.error.kind(), "exec_memory");
         }
         assert_eq!(detection.fault_counters.evidence.quarantined, RUNS as u64);
-        jsons.push(summary_json(&detection, parallelism, retry));
+        // Quarantined runs are not evidence: only the one class's E_fix
+        // survives.
+        assert_eq!(detection.filter.classes.len(), 1);
+        assert_eq!(detection.stats.evidence_traces, RUNS, "p{parallelism}");
+        jsons.push(summary_json(&detection, parallelism, max_attempts));
     }
     assert!(
         jsons.windows(2).all(|w| w[0] == w[1]),
@@ -221,7 +231,7 @@ fn lost_user_input_downgrades_leak_free_to_inconclusive() {
     let config = OwlConfig {
         runs: RUNS,
         parallelism: 2,
-        retry: RetryPolicy::no_retries(),
+        max_attempts: 1,
         ..OwlConfig::default()
     };
     let detection = detect(&faulty, &exponents, &config).expect("detection");
@@ -243,7 +253,7 @@ fn all_inputs_lost_is_inconclusive_not_an_error() {
     let exponents = [0x8000_0001u64, 0xffff_ffff, 3];
     let plan =
         FaultPlan::new().fail_stream(STREAM_USER, InjectedFault::Exec(ExecFaultKind::Memory));
-    let detection = detect_injected(&w, &exponents, plan, 2, RetryPolicy::no_retries());
+    let detection = detect_injected(&w, &exponents, plan, 2, 1);
     assert_eq!(detection.verdict, Verdict::Inconclusive);
     assert!(detection.filter.classes.is_empty());
     assert_eq!(detection.faults.len(), exponents.len());
@@ -263,8 +273,7 @@ fn worker_panics_never_poison_the_detection() {
     let inputs = [1u64, 2, 3, 4];
     let plan = || FaultPlan::new().fail_stream(fix_stream(0), InjectedFault::Panic);
     for parallelism in [1, 2, 4, 8] {
-        let detection =
-            detect_injected(&w, &inputs, plan(), parallelism, RetryPolicy::no_retries());
+        let detection = detect_injected(&w, &inputs, plan(), parallelism, 1);
         assert_eq!(
             detection.verdict,
             Verdict::Leaky,
@@ -293,7 +302,7 @@ fn retry_budget_is_honoured_per_run() {
         2,
         InjectedFault::Exec(ExecFaultKind::BarrierDeadlock),
     );
-    let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy::with_max_attempts(3));
+    let detection = detect_injected(&w, &inputs, plan, 2, 3);
     assert!(detection.faults.is_empty(), "third attempt succeeds");
     assert_eq!(detection.fault_counters.evidence.failed_attempts, 2);
     assert_eq!(detection.fault_counters.evidence.retried, 2);
@@ -305,8 +314,40 @@ fn retry_budget_is_honoured_per_run() {
         2,
         InjectedFault::Exec(ExecFaultKind::BarrierDeadlock),
     );
-    let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy::with_max_attempts(2));
+    let detection = detect_injected(&w, &inputs, plan, 2, 2);
     assert_eq!(detection.faults.len(), 1);
     assert_eq!(detection.fault_counters.evidence.quarantined, 1);
     assert_eq!(detection.faults.records()[0].attempts, 2);
+}
+
+/// No test runs against an evidence set with no surviving runs, whatever
+/// the configuration: a quorum of 0 with the whole random stream
+/// quarantined, or a run count of 0, is `Inconclusive` — never a leak
+/// fabricated from missing evidence, never a clean verdict.
+#[test]
+fn empty_evidence_sets_are_never_tested() {
+    let w = DummySbox::new(64);
+    let inputs = [1u64, 2, 3, 4];
+    let plan = FaultPlan::new().fail_stream(
+        STREAM_RND,
+        InjectedFault::Exec(ExecFaultKind::FuelExhausted),
+    );
+    let zero_quorum = OwlConfig {
+        min_runs_per_set: Some(0),
+        ..config(2, 1)
+    };
+    let detection =
+        detect(&FaultyProgram::new(&w, plan), &inputs, &zero_quorum).expect("detection");
+    assert_eq!(detection.verdict, Verdict::Inconclusive);
+    assert!(detection.report.is_clean(), "no leak from missing evidence");
+    assert_eq!(detection.fault_counters.evidence.quarantined, RUNS as u64);
+
+    let no_runs = OwlConfig {
+        runs: 0,
+        ..config(2, 1)
+    };
+    let detection = detect(&w, &inputs, &no_runs).expect("detection");
+    assert_eq!(detection.verdict, Verdict::Inconclusive);
+    assert!(detection.report.is_clean());
+    assert_eq!(detection.stats.evidence_traces, 0);
 }

@@ -7,7 +7,7 @@
 
 use owl::core::{
     detect, detect_with_cancel, CancelToken, ConfigError, DetectPhase, Detection, DetectionSummary,
-    FaultPlan, InjectedFault, OwlConfig, ResourceKind, RetryPolicy, Verdict, STREAM_RND,
+    FaultPlan, InjectedFault, OwlConfig, ResourceBudget, ResourceKind, Verdict, STREAM_RND,
 };
 use owl::workloads::dummy::{DummySbox, RunawaySpin};
 use owl::workloads::rsa::RsaLadder;
@@ -19,10 +19,25 @@ fn config(parallelism: usize) -> OwlConfig {
     OwlConfig {
         runs: RUNS,
         parallelism,
-        retry: RetryPolicy::no_retries(),
+        max_attempts: 1,
         force_analysis: true,
         ..OwlConfig::default()
     }
+}
+
+/// One attempt per run under an instruction budget of 10 000 per launch.
+fn fuel_limited(runs: usize) -> OwlConfig {
+    let config = OwlConfig {
+        runs,
+        max_attempts: 1,
+        budget: ResourceBudget {
+            max_instructions: 10_000,
+            ..ResourceBudget::DEFAULT
+        },
+        ..OwlConfig::default()
+    };
+    config.validate().expect("valid config");
+    config
 }
 
 fn summary_json<I>(detection: &Detection<I>, config: &OwlConfig) -> String {
@@ -37,12 +52,7 @@ fn summary_json<I>(detection: &Detection<I>, config: &OwlConfig) -> String {
 #[test]
 fn runaway_kernel_under_instruction_budget_is_inconclusive() {
     let w = RunawaySpin::new();
-    let config = OwlConfig::builder()
-        .runs(4)
-        .retry(RetryPolicy::no_retries())
-        .max_instructions(10_000)
-        .validate()
-        .expect("valid config");
+    let config = fuel_limited(4);
     let detection = detect(&w, &[1u64, 2, 3], &config).expect("detection survives exhaustion");
     assert_eq!(detection.verdict, Verdict::Inconclusive);
     assert!(detection.report.is_clean(), "no fabricated leaks");
@@ -69,9 +79,9 @@ fn budget_exhausted_summaries_are_byte_identical_across_parallelism() {
     let mut jsons = Vec::new();
     for parallelism in [1usize, 2, 4, 8] {
         let config = OwlConfig {
-            budget: owl::core::ResourceBudget {
+            budget: ResourceBudget {
                 max_mem_events: Some(1),
-                ..owl::core::ResourceBudget::DEFAULT
+                ..ResourceBudget::DEFAULT
             },
             ..config(parallelism)
         };
@@ -179,9 +189,9 @@ fn evidence_budget_overrun_is_inconclusive_without_quarantining_runs() {
     let w = RsaLadder::new(32);
     let exponents = [0x8000_0001u64, 0xffff_ffff, 3];
     let config = OwlConfig {
-        budget: owl::core::ResourceBudget {
+        budget: ResourceBudget {
             max_evidence_bytes: Some(1),
-            ..owl::core::ResourceBudget::DEFAULT
+            ..ResourceBudget::DEFAULT
         },
         ..config(2)
     };
@@ -202,65 +212,111 @@ fn evidence_budget_overrun_is_inconclusive_without_quarantining_runs() {
 /// render a human-readable reason, before any run is recorded.
 #[test]
 fn config_validation_rejects_nonsense() {
+    let validate = |config: OwlConfig| config.validate();
+    let base = OwlConfig::default();
     assert_eq!(
-        OwlConfig::builder().runs(0).validate().unwrap_err(),
+        validate(OwlConfig { runs: 0, ..base }).unwrap_err(),
         ConfigError::ZeroRuns
     );
     assert!(matches!(
-        OwlConfig::builder().alpha(1.5).validate().unwrap_err(),
+        validate(OwlConfig { alpha: 1.5, ..base }).unwrap_err(),
         ConfigError::AlphaOutOfRange { .. }
     ));
     assert!(matches!(
-        OwlConfig::builder().warp_size(0).validate().unwrap_err(),
+        validate(OwlConfig {
+            warp_size: 0,
+            ..base
+        })
+        .unwrap_err(),
         ConfigError::WarpSizeOutOfRange { .. }
     ));
     assert_eq!(
-        OwlConfig::builder().parallelism(0).validate().unwrap_err(),
+        validate(OwlConfig {
+            parallelism: 0,
+            ..base
+        })
+        .unwrap_err(),
         ConfigError::ZeroParallelism
     );
+    assert_eq!(
+        validate(OwlConfig {
+            max_attempts: 0,
+            ..base
+        })
+        .unwrap_err(),
+        ConfigError::ZeroRetryAttempts
+    );
     assert!(matches!(
-        OwlConfig::builder()
-            .runs(4)
-            .min_runs_per_set(9)
-            .validate()
-            .unwrap_err(),
+        validate(OwlConfig {
+            runs: 4,
+            min_runs_per_set: Some(9),
+            ..base
+        })
+        .unwrap_err(),
         ConfigError::QuorumExceedsRuns { quorum: 9, runs: 4 }
     ));
-    for (err, needle) in [
+    // A zero quorum would count an evidence set with no surviving run.
+    let err = validate(OwlConfig {
+        min_runs_per_set: Some(0),
+        ..base
+    })
+    .unwrap_err();
+    assert_eq!(err, ConfigError::ZeroQuorum);
+    assert!(err.to_string().contains("at least 1"), "{err}");
+    let budget = ResourceBudget::DEFAULT;
+    for (budget, needle) in [
         (
-            OwlConfig::builder().max_instructions(0).validate(),
+            ResourceBudget {
+                max_instructions: 0,
+                ..budget
+            },
             "instructions",
         ),
         (
-            OwlConfig::builder().max_mem_events(0).validate(),
+            ResourceBudget {
+                max_mem_events: Some(0),
+                ..budget
+            },
             "mem_events",
         ),
         (
-            OwlConfig::builder().max_allocations(0).validate(),
+            ResourceBudget {
+                max_allocations: Some(0),
+                ..budget
+            },
             "allocations",
         ),
         (
-            OwlConfig::builder().max_evidence_bytes(0).validate(),
+            ResourceBudget {
+                max_evidence_bytes: Some(0),
+                ..budget
+            },
             "evidence_bytes",
         ),
         (
-            OwlConfig::builder().deadline(Duration::ZERO).validate(),
+            ResourceBudget {
+                deadline: Some(Duration::ZERO),
+                ..budget
+            },
             "deadline",
         ),
     ] {
-        let err = err.unwrap_err();
+        let err = validate(OwlConfig { budget, ..base }).unwrap_err();
         assert!(matches!(err, ConfigError::ZeroBudget { .. }));
         let rendered = err.to_string();
         assert!(rendered.contains(needle), "{rendered} names {needle}");
     }
-    // A sane configuration passes through unchanged.
-    let config = OwlConfig::builder()
-        .runs(8)
-        .max_instructions(1_000_000)
-        .deadline(Duration::from_secs(30))
-        .validate()
-        .expect("sane config");
-    assert_eq!(config.budget.max_instructions, 1_000_000);
+    // A sane configuration passes.
+    validate(OwlConfig {
+        runs: 8,
+        budget: ResourceBudget {
+            max_instructions: 1_000_000,
+            deadline: Some(Duration::from_secs(30)),
+            ..budget
+        },
+        ..base
+    })
+    .expect("sane config");
 }
 
 /// The budget-utilization block in the metrics report records actual
@@ -269,12 +325,7 @@ fn config_validation_rejects_nonsense() {
 #[test]
 fn metrics_report_tracks_budget_utilization_for_governed_runs() {
     let w = RunawaySpin::new();
-    let config = OwlConfig::builder()
-        .runs(4)
-        .retry(RetryPolicy::no_retries())
-        .max_instructions(10_000)
-        .validate()
-        .expect("valid config");
+    let config = fuel_limited(4);
     let detection = detect(&w, &[1u64, 2], &config).expect("detection");
     let report = owl::core::MetricsReport::new("runaway-spin", &detection, &config);
     assert_eq!(report.budget.max_instructions_per_launch, 10_000);
