@@ -266,7 +266,7 @@ fn record_trace_inner<P: TracedProgram>(
     device: &mut Device,
     spec: &RunSpec,
 ) -> Result<ProgramTrace, DetectError> {
-    let tracer = Rc::new(RefCell::new(OwlTracer::new(device.alloc_table())));
+    let tracer = Rc::new(RefCell::new(OwlTracer::new()));
     device.attach_hook(tracer.clone());
     let run_result = program.run_with_spec(device, input, spec);
     device.detach_hook();

@@ -10,7 +10,6 @@ use owl_dcfg::Adcfg;
 use owl_host::CallSite;
 use serde::Serialize;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
 
 /// Identity of a kernel invocation *site*: which kernel, launched from
 /// where in host code.
@@ -32,19 +31,7 @@ impl std::fmt::Display for InvocationKey {
 pub type ConfigTuple = ((u32, u32, u32), (u32, u32, u32));
 
 /// One kernel invocation with its reconstructed A-DCFG.
-///
-/// The invocation's digest is computed lazily on the first
-/// [`KernelInvocation::digest`] call and cached, so hashing a whole
-/// [`ProgramTrace`] combines per-invocation digests instead of re-walking
-/// every A-DCFG — the duplicate filter digests each trace exactly once
-/// per run instead of once per comparison — while runs that are never
-/// filtered (the evidence phase merges them directly) pay nothing.
-///
-/// **Caching rule:** the fields are public for reading, but mutating them
-/// in place after a `digest()` call leaves the cached digest stale. Build
-/// a new invocation with [`KernelInvocation::new`] instead; debug builds
-/// assert freshness on every [`KernelInvocation::digest`] call.
-#[derive(Debug, Clone, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelInvocation {
     /// The invocation site identity.
     pub key: InvocationKey,
@@ -52,59 +39,31 @@ pub struct KernelInvocation {
     pub config: ConfigTuple,
     /// The warp-aggregated trace of this invocation.
     pub adcfg: Adcfg,
-    /// FNV-1a digest over `(key, config, adcfg)`, filled on first use.
-    /// (`OnceLock` rather than `OnceCell`: traces cross the evidence
-    /// phase's worker-thread boundary.)
-    digest: OnceLock<u64>,
 }
 
 impl KernelInvocation {
-    /// Creates an invocation record; the digest is computed on first use.
+    /// Creates an invocation record.
     pub fn new(key: InvocationKey, config: ConfigTuple, adcfg: Adcfg) -> Self {
-        KernelInvocation {
-            key,
-            config,
-            adcfg,
-            digest: OnceLock::new(),
-        }
+        KernelInvocation { key, config, adcfg }
     }
 
-    /// The digest over `(key, config, adcfg)`, cached after the first call.
+    /// The FNV-1a digest over `(key, config, adcfg)`, computed on each
+    /// call (one walk of the A-DCFG).
     pub fn digest(&self) -> u64 {
-        let d = *self
-            .digest
-            .get_or_init(|| Self::compute_digest(&self.key, &self.config, &self.adcfg));
-        debug_assert_eq!(
-            d,
-            Self::compute_digest(&self.key, &self.config, &self.adcfg),
-            "stale invocation digest: fields were mutated after construction"
-        );
-        d
-    }
-
-    fn compute_digest(key: &InvocationKey, config: &ConfigTuple, adcfg: &Adcfg) -> u64 {
         let mut h = Fnv1a::default();
-        key.hash(&mut h);
-        config.hash(&mut h);
-        adcfg.hash(&mut h);
+        self.key.hash(&mut h);
+        self.config.hash(&mut h);
+        self.adcfg.hash(&mut h);
         h.finish()
-    }
-}
-
-impl PartialEq for KernelInvocation {
-    fn eq(&self, other: &Self) -> bool {
-        // The digest cache is derived state — whether it has been filled
-        // yet must not affect equality.
-        self.key == other.key && self.config == other.config && self.adcfg == other.adcfg
     }
 }
 
 impl Hash for KernelInvocation {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // The cached digest already covers all three fields; feeding it
-        // instead of re-walking the A-DCFG makes trace-level hashing O(1)
-        // per invocation. Consistent with `Eq`: the digest is a pure
-        // function of the compared fields.
+        // Feeds the invocation's own FNV-1a digest rather than its fields:
+        // trace digests, and with them class order and the golden pins,
+        // are defined over per-invocation digests. Consistent with `Eq`:
+        // the digest is a pure function of the compared fields.
         state.write_u64(self.digest());
     }
 }
@@ -152,8 +111,8 @@ impl ProgramTrace {
     /// phase to group inputs into classes. Two traces compare equal exactly
     /// when the program showed identical observable behaviour.
     ///
-    /// Combines the per-invocation digests cached at
-    /// [`KernelInvocation::new`] — O(#invocations), not O(trace size).
+    /// Combines the per-invocation digests, each computed here: one walk
+    /// of the whole trace. The filter calls this once per trace.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::default();
         self.hash(&mut h);
@@ -234,30 +193,21 @@ mod tests {
     }
 
     #[test]
-    fn cached_digest_equals_fresh_computation_after_merge() {
-        // `digest()` recomputes and asserts freshness in debug builds, so
-        // every equality below also proves cache == fresh recompute.
+    fn merged_graph_digest_is_reproducible() {
         let a = invocation(1, "k", &[0, 1, 1]);
-        let cached = a.digest(); // fills the cache
-
-        // Merging a's graph elsewhere must not disturb a's cached digest.
         let mut merged_graph = invocation(1, "k", &[0, 1, 1]).adcfg;
         merged_graph.merge(&a.adcfg);
-        let merged = KernelInvocation::new(a.key.clone(), a.config, merged_graph.clone());
-        assert_eq!(a.digest(), cached);
+        let merged = KernelInvocation::new(a.key.clone(), a.config, merged_graph);
 
         // The merged invocation digests its own (new) state, and a second
         // independently merged build reproduces it exactly.
-        assert_ne!(merged.digest(), cached, "merge changed the A-DCFG");
+        assert_ne!(merged.digest(), a.digest(), "merge changed the A-DCFG");
         let mut again = invocation(1, "k", &[0, 1, 1]).adcfg;
         again.merge(&invocation(1, "k", &[0, 1, 1]).adcfg);
         assert_eq!(
             KernelInvocation::new(a.key.clone(), a.config, again).digest(),
             merged.digest()
         );
-
-        // Clones carry the filled cache; it stays valid because clones
-        // share the cloned fields byte-for-byte.
         assert_eq!(merged.clone().digest(), merged.digest());
     }
 

@@ -2,15 +2,15 @@
 //!
 //! [`OwlTracer`] implements [`KernelHook`] and reconstructs one A-DCFG per
 //! kernel launch, normalising global addresses to `(allocation, offset)`
-//! features on the fly via the runtime's shared [`AllocTable`] (the paper
-//! converts addresses to offsets during tracing to neutralise layout and
-//! ASLR effects, §V-C).
+//! features on the fly through the device memory each memory callback
+//! receives ([`DeviceMemory::resolve`]; the paper converts addresses to
+//! offsets during tracing to neutralise layout and ASLR effects, §V-C).
 
 use owl_dcfg::{Adcfg, AdcfgBuilder};
 use owl_gpu::hook::{KernelHook, LaunchInfo, MemAccessEvent, MemEventBatch, WarpRef};
 use owl_gpu::isa::MemSpace;
+use owl_gpu::mem::DeviceMemory;
 use owl_gpu::program::BlockId;
-use owl_host::SharedAllocTable;
 
 /// Packs a warp identity into the `u64` key the A-DCFG builder uses.
 fn warp_key(w: WarpRef) -> u64 {
@@ -41,9 +41,9 @@ fn warp_key(w: WarpRef) -> u64 {
 ///   40-bit offset field; rather than silently truncating — which would
 ///   alias the feature into a *different* allocation's range and corrupt
 ///   the differential analysis — it saturates to the same tagged form.
-pub fn encode_address(space: MemSpace, addr: u64, table: &owl_host::AllocTable) -> u64 {
+pub fn encode_address(space: MemSpace, addr: u64, mem: &DeviceMemory) -> u64 {
     match space {
-        MemSpace::Global => match table.resolve(addr) {
+        MemSpace::Global => match mem.resolve(addr) {
             Some((alloc, offset)) if offset < (1 << 40) => {
                 ((u64::from(alloc.0) + 1) << 40) | offset
             }
@@ -61,22 +61,16 @@ pub fn encode_address(space: MemSpace, addr: u64, table: &owl_host::AllocTable) 
 /// Attach it to a device (via `Rc<RefCell<…>>`), run the program, then
 /// [`take_graphs`](OwlTracer::take_graphs) to collect the per-launch
 /// graphs in launch order.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct OwlTracer {
-    alloc_table: SharedAllocTable,
     current: Option<AdcfgBuilder>,
     finished: Vec<Adcfg>,
 }
 
 impl OwlTracer {
-    /// Creates a tracer that normalises global addresses through the given
-    /// shared allocation table (from [`owl_host::Device::alloc_table`]).
-    pub fn new(alloc_table: SharedAllocTable) -> Self {
-        OwlTracer {
-            alloc_table,
-            current: None,
-            finished: Vec::new(),
-        }
+    /// Creates a tracer with no graphs recorded yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Removes and returns the completed per-launch graphs, oldest first.
@@ -111,12 +105,11 @@ impl KernelHook for OwlTracer {
             .enter_block(warp_key(warp), bb.0);
     }
 
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent) {
-        let table = self.alloc_table.borrow();
+    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, mem: &DeviceMemory) {
         let features = event
             .lane_addrs
             .iter()
-            .map(|&(_, addr)| encode_address(event.space, addr, &table));
+            .map(|&(_, addr)| encode_address(event.space, addr, mem));
         let builder = self.current.as_mut().expect("mem_access outside a kernel");
         builder.record_access(warp_key(warp), event.inst_idx, features);
         // The per-event microarchitectural cost (coalescing / bank
@@ -125,12 +118,10 @@ impl KernelHook for OwlTracer {
         builder.record_cost(warp_key(warp), event.inst_idx, event.cost_feature());
     }
 
-    fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch) {
+    fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch, mem: &DeviceMemory) {
         // Bulk path: every event in a batch belongs to the same warp and
-        // basic-block visit, so one alloc-table borrow and one
-        // block-recorder resolution cover the whole batch; the costs
-        // arrive pre-computed in the descriptors.
-        let table = self.alloc_table.borrow();
+        // basic-block visit, so one block-recorder resolution covers the
+        // whole batch; the costs arrive pre-computed in the descriptors.
         let builder = self.current.as_mut().expect("mem_batch outside a kernel");
         let mut rec = builder.block_recorder(warp_key(warp));
         for (desc, lanes) in batch.events() {
@@ -138,7 +129,7 @@ impl KernelHook for OwlTracer {
                 desc.inst_idx,
                 lanes
                     .iter()
-                    .map(|&(_, addr)| encode_address(desc.space, addr, &table)),
+                    .map(|&(_, addr)| encode_address(desc.space, addr, mem)),
             );
             rec.cost(desc.inst_idx, desc.cost);
         }
@@ -151,8 +142,9 @@ mod tests {
     use owl_gpu::build::KernelBuilder;
     use owl_gpu::grid::LaunchConfig;
     use owl_gpu::isa::{MemWidth, SpecialReg};
-    use owl_host::Device;
+    use owl_host::{Device, DevicePtr};
     use std::cell::RefCell;
+    use std::collections::BTreeSet;
     use std::rc::Rc;
 
     fn lookup_kernel() -> owl_gpu::KernelProgram {
@@ -168,7 +160,7 @@ mod tests {
     #[test]
     fn one_graph_per_launch() {
         let mut dev = Device::new();
-        let tracer = Rc::new(RefCell::new(OwlTracer::new(dev.alloc_table())));
+        let tracer = Rc::new(RefCell::new(OwlTracer::new()));
         dev.attach_hook(tracer.clone());
         let t = dev.malloc(4 * 32);
         let o = dev.malloc(4 * 32);
@@ -187,7 +179,7 @@ mod tests {
         // The same program under plain layout and under ASLR must produce
         // identical A-DCFGs thanks to offset normalisation.
         let run = |mut dev: Device| {
-            let tracer = Rc::new(RefCell::new(OwlTracer::new(dev.alloc_table())));
+            let tracer = Rc::new(RefCell::new(OwlTracer::new()));
             dev.attach_hook(tracer.clone());
             let t = dev.malloc(4 * 32);
             let o = dev.malloc(4 * 32);
@@ -207,27 +199,65 @@ mod tests {
         assert_eq!(aslr1, aslr2);
     }
 
+    /// Every address feature recorded anywhere in `graph`.
+    fn features(graph: &Adcfg) -> BTreeSet<u64> {
+        graph
+            .nodes
+            .values()
+            .flat_map(|n| n.mem.values().flatten())
+            .flat_map(|h| h.iter().map(|(f, _)| f))
+            .collect()
+    }
+
+    /// The features a lookup launch over `table` and `out` must record:
+    /// `(alloc + 1) << 40 | offset` for each of the 32 lanes' words.
+    fn lookup_features(table: DevicePtr, out: DevicePtr) -> BTreeSet<u64> {
+        [table, out]
+            .iter()
+            .flat_map(|p| (0..32u64).map(move |i| ((u64::from(p.alloc().0) + 1) << 40) | (i * 4)))
+            .collect()
+    }
+
+    #[test]
+    fn features_follow_the_live_allocation_across_free_and_malloc() {
+        let mut dev = Device::with_aslr(7);
+        let tracer = Rc::new(RefCell::new(OwlTracer::new()));
+        dev.attach_hook(tracer.clone());
+        let k = lookup_kernel();
+        let cfg = LaunchConfig::new(1u32, 32u32);
+        let t = dev.malloc(4 * 32);
+        let o = dev.malloc(4 * 32);
+        dev.launch(&k, cfg, &[t.addr(), o.addr()]).unwrap();
+        dev.free(t).unwrap();
+        let t2 = dev.malloc(4 * 64);
+        assert_ne!(t2.alloc(), t.alloc(), "a fresh allocation id");
+        dev.launch(&k, cfg, &[t2.addr(), o.addr()]).unwrap();
+
+        let graphs = tracer.borrow_mut().take_graphs();
+        assert_eq!(graphs.len(), 2);
+        assert_eq!(features(&graphs[0]), lookup_features(t, o));
+        assert_eq!(features(&graphs[1]), lookup_features(t2, o));
+    }
+
     #[test]
     fn encode_address_distinguishes_allocations_not_layout() {
         let mut dev = Device::new();
         let a = dev.malloc(64);
         let b = dev.malloc(64);
-        let table = dev.alloc_table();
-        let table = table.borrow();
-        let fa = encode_address(MemSpace::Global, a.addr() + 8, &table);
-        let fb = encode_address(MemSpace::Global, b.addr() + 8, &table);
+        let mem = dev.memory();
+        let fa = encode_address(MemSpace::Global, a.addr() + 8, mem);
+        let fb = encode_address(MemSpace::Global, b.addr() + 8, mem);
         assert_ne!(fa, fb, "different allocations, different features");
         // Same offset within the same allocation → same feature.
-        assert_eq!(fa, encode_address(MemSpace::Global, a.addr() + 8, &table));
+        assert_eq!(fa, encode_address(MemSpace::Global, a.addr() + 8, mem));
         // Shared-space addresses pass through.
-        assert_eq!(encode_address(MemSpace::Shared, 40, &table), 40);
+        assert_eq!(encode_address(MemSpace::Shared, 40, mem), 40);
     }
 
     #[test]
     fn unresolved_global_address_is_tagged() {
         let dev = Device::new();
-        let table = dev.alloc_table();
-        let f = encode_address(MemSpace::Global, 0x1234, &table.borrow());
+        let f = encode_address(MemSpace::Global, 0x1234, dev.memory());
         assert_ne!(f & (1 << 63), 0);
     }
 }

@@ -50,8 +50,8 @@ pub enum ExecError {
     BarrierDeadlock,
     /// The launch exceeded its instruction budget (runaway loop guard).
     FuelExhausted,
-    /// The launch was abandoned because its [`CancelToken`]
-    /// (`crate::cancel::CancelToken`) fired — a caller cancellation or an
+    /// The launch was abandoned because its
+    /// [`CancelToken`](crate::cancel::CancelToken) fired — a caller cancellation or an
     /// expired wall-clock deadline. Checked cooperatively at basic-block
     /// boundaries.
     Cancelled,

@@ -5,10 +5,12 @@
 //! same observable stream through the [`KernelHook`] trait: one callback at
 //! each basic-block entry (per warp — matching Owl's warp-level tracing,
 //! §V-A) and one at each memory-access instruction with the per-lane
-//! addresses.
+//! addresses. Memory callbacks also receive the device memory, so a hook
+//! can resolve a global address to its allocation while the kernel runs.
 
 use crate::grid::{Dim3, LaunchConfig};
 use crate::isa::MemSpace;
+use crate::mem::DeviceMemory;
 use crate::program::BlockId;
 use serde::{Deserialize, Serialize};
 
@@ -305,9 +307,11 @@ pub trait KernelHook {
         let _ = (warp, bb);
     }
 
-    /// A warp executed a memory access instruction.
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent) {
-        let _ = (warp, event);
+    /// A warp executed a memory access instruction. `mem` is the device
+    /// memory the access ran against (its allocation list resolves global
+    /// addresses).
+    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, mem: &DeviceMemory) {
+        let _ = (warp, event, mem);
     }
 
     /// A warp finished a basic block that executed memory accesses; the
@@ -316,7 +320,7 @@ pub trait KernelHook {
     /// against the per-event callback observe an identical stream.
     /// Bulk consumers (the Owl tracer) override this to read the flat
     /// layout directly.
-    fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch) {
+    fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch, mem: &DeviceMemory) {
         for (desc, lanes) in batch.events() {
             let event = MemAccessEvent {
                 bb: desc.bb,
@@ -325,7 +329,7 @@ pub trait KernelHook {
                 kind: desc.kind,
                 lane_addrs: lanes.to_vec(),
             };
-            self.mem_access(warp, &event);
+            self.mem_access(warp, &event, mem);
         }
     }
 }
@@ -335,7 +339,7 @@ pub trait KernelHook {
 pub struct NullHook;
 
 impl KernelHook for NullHook {
-    fn mem_batch(&mut self, _warp: WarpRef, _batch: &MemEventBatch) {}
+    fn mem_batch(&mut self, _warp: WarpRef, _batch: &MemEventBatch, _mem: &DeviceMemory) {}
 }
 
 /// A hook that buffers every event, useful in tests and as a building block
@@ -359,7 +363,7 @@ impl KernelHook for RecordingHook {
         self.bb_entries.push((warp, bb));
     }
 
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent) {
+    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, _mem: &DeviceMemory) {
         self.accesses.push((warp, event.clone()));
     }
 }
@@ -508,7 +512,7 @@ mod tests {
 
         // The default trait impl materialises the same per-event stream.
         let mut h = RecordingHook::default();
-        h.mem_batch(w, &batch);
+        h.mem_batch(w, &batch, &DeviceMemory::new());
         assert_eq!(h.accesses.len(), 2);
         let first = &h.accesses[0].1;
         assert_eq!(first.lane_addrs, vec![(0, 0), (1, 64), (2, 128), (3, 192)]);

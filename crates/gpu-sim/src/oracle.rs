@@ -7,7 +7,7 @@
 //!
 //! * plain recursive descent over the structured statement tree — no
 //!   explicit frame stack;
-//! * one `match` per [`InstOp`](crate::isa::InstOp) — no pre-resolved
+//! * one `match` per [`InstOp`] — no pre-resolved
 //!   operand tables;
 //! * one [`KernelHook::mem_access`] call per memory instruction — no event
 //!   batching;
@@ -353,7 +353,7 @@ impl<'p> OracleWarp<'p> {
             lane_addrs,
         };
         event.apply_counters(env.counters);
-        env.hook.mem_access(self.warp_ref, &event);
+        env.hook.mem_access(self.warp_ref, &event, env.mem);
     }
 
     #[allow(clippy::too_many_lines)]
@@ -646,7 +646,7 @@ impl<'p> OracleWarp<'p> {
 ///
 /// The engine loop mirrors the production engine (sequential CTAs, warps
 /// run to the next barrier, barrier releases when every non-done warp has
-/// parked) but drives [`OracleWarp`]s over the unlowered program form.
+/// parked) but drives oracle warps over the unlowered program form.
 ///
 /// # Errors
 ///
@@ -749,7 +749,6 @@ pub fn launch_oracle(
         }
     }
 
-    stats.instructions = counters.instructions;
     stats.counters = counters;
     hook.kernel_end(&info);
     Ok(stats)
@@ -970,7 +969,7 @@ mod tests {
         )
         .unwrap();
         let c = stats.counters;
-        assert_eq!(c.instructions, stats.instructions);
+        assert!(c.instructions > 0);
         assert_eq!(c.divergence_events, 1);
         assert_eq!(c.reconvergences, 1);
         assert_eq!(c.mem_accesses, 3);

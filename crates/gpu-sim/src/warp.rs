@@ -462,7 +462,7 @@ impl<'p> WarpExec<'p> {
     /// the per-instruction callbacks produced.
     fn flush_batch(&self, env: &mut ExecEnv<'_>) {
         if !env.batch.is_empty() {
-            env.hook.mem_batch(self.warp_ref, env.batch);
+            env.hook.mem_batch(self.warp_ref, env.batch, env.mem);
             env.batch.clear();
         }
     }

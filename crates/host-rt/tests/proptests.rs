@@ -23,29 +23,45 @@ proptest! {
         prop_assert_eq!(out, data);
     }
 
-    /// Allocation tables resolve every in-bounds address and reject every
-    /// out-of-bounds one, under any allocation pattern and ASLR seed.
+    /// `Device::resolve` maps every in-bounds byte of a live allocation to
+    /// `(allocation, offset)` and never resolves a byte of a freed one,
+    /// under any allocation pattern, any set of frees, later allocations
+    /// and any ASLR seed.
     #[test]
-    fn alloc_table_resolution_is_exact(
+    fn resolution_is_exact_across_frees(
         sizes in prop::collection::vec(1usize..256, 1..10),
+        freed in prop::collection::vec(any::<bool>(), 10),
+        later in prop::collection::vec(1usize..256, 0..4),
         aslr in prop::option::of(any::<u64>()),
     ) {
         let mut dev = match aslr {
             Some(seed) => Device::with_aslr(seed),
             None => Device::new(),
         };
-        let ptrs: Vec<_> = sizes.iter().map(|&s| (dev.malloc(s), s)).collect();
-        let table = dev.alloc_table();
-        let table = table.borrow();
-        for (ptr, size) in &ptrs {
+        let mut live: Vec<_> = sizes.iter().map(|&s| (dev.malloc(s), s)).collect();
+        let mut gone = Vec::new();
+        for (i, &free) in freed.iter().enumerate().take(live.len()).rev() {
+            if free {
+                let (ptr, size) = live.remove(i);
+                dev.free(ptr).unwrap();
+                gone.push((ptr, size));
+            }
+        }
+        live.extend(later.iter().map(|&s| (dev.malloc(s), s)));
+        for (ptr, size) in &live {
             // First, middle, and last bytes resolve to the right allocation.
             for off in [0, (size - 1) / 2, size - 1] {
-                let got = table.resolve(ptr.addr() + off as u64);
+                let got = dev.resolve(ptr.addr() + off as u64);
                 prop_assert_eq!(got, Some((ptr.alloc(), off as u64)));
             }
             // One past the end never resolves into this allocation.
-            if let Some((id, _)) = table.resolve(ptr.addr() + *size as u64) {
+            if let Some((id, _)) = dev.resolve(ptr.addr() + *size as u64) {
                 prop_assert_ne!(id, ptr.alloc());
+            }
+        }
+        for (ptr, size) in &gone {
+            for off in [0, (size - 1) / 2, size - 1] {
+                prop_assert_eq!(dev.resolve(ptr.addr() + off as u64), None);
             }
         }
     }

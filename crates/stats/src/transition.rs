@@ -12,7 +12,7 @@
 //! here [`BOUNDARY`].
 //!
 //! Like [`Histogram`], the matrix uses the hybrid append/sorted storage of
-//! [`crate::pairtable`]: `record` is an append, reads are sorted-on-read,
+//! the private `pairtable` module: `record` is an append, reads are sorted-on-read,
 //! and [`TransitionMatrix::executions`] is a maintained O(1) total.
 
 use crate::histogram::Histogram;
